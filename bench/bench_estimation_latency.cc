@@ -3,7 +3,7 @@
 // plan enumeration loop, so its own latency matters: the paper's design
 // keeps both the NN forward pass and the sub-op formulas in the
 // microsecond range, with the online remedy an order of magnitude above
-// (it fits a regression on the fly).
+// (it extracts neighbours and fits a regression on the fly).
 
 #include <benchmark/benchmark.h>
 
@@ -94,6 +94,62 @@ void BM_NnWithOnlineRemedy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NnWithOnlineRemedy);
+
+// A join model at onboarded size: 400 training rows subsampled from the
+// 7-dimension grid a deployment collects (the repobench onboarding grid),
+// so the remedy's neighbour extraction runs over as many rows as it does in
+// production. BM_NnWithOnlineRemedy's small grid hides that cost.
+struct OnboardedJoin {
+  std::unique_ptr<core::LogicalOpModel> model;
+  std::vector<double> one_pivot;   ///< left_num_rows way off
+  std::vector<double> two_pivots;  ///< left_num_rows and right_num_rows
+
+  OnboardedJoin() {
+    auto engine = remote::HiveEngine::CreateDefault("hive", 2101);
+    rel::JoinWorkloadOptions wopts;
+    wopts.left_record_counts = {250000, 500000, 1000000, 2000000};
+    wopts.right_record_counts = {100000, 250000, 500000, 1000000};
+    wopts.record_sizes = {40, 100, 250};
+    wopts.max_queries = 400;
+    auto queries = Unwrap(rel::GenerateJoinWorkload(wopts), "workload");
+    auto run = Unwrap(core::CollectJoinTraining(engine.get(), queries),
+                      "collect");
+    core::LogicalOpOptions lopts;
+    lopts.mlp.iterations = 3000;
+    model = std::make_unique<core::LogicalOpModel>(
+        Unwrap(core::LogicalOpModel::Train(rel::OperatorType::kJoin,
+                                           run.data,
+                                           core::JoinDimensionNames(), lopts),
+               "train"));
+    one_pivot = run.data.x[run.data.size() / 2];
+    one_pivot[1] = 4.0e7;
+    two_pivots = one_pivot;
+    two_pivots[3] = 2.0e7;
+    ExpectPivots(one_pivot, 1);
+    ExpectPivots(two_pivots, 2);
+  }
+
+  void ExpectPivots(const std::vector<double>& features, size_t n) const {
+    auto pivots = Unwrap(model->metadata().PivotDimensions(
+                             features, model->options().beta),
+                         "pivots");
+    if (pivots.size() != n) {
+      std::cerr << "FATAL [onboarded join]: expected " << n
+                << " pivot dimension(s), got " << pivots.size() << "\n";
+      std::abort();
+    }
+  }
+};
+
+void BM_RemedyOnboardedJoin(benchmark::State& state) {
+  static OnboardedJoin fixture;
+  const std::vector<double>& features =
+      state.range(0) == 1 ? fixture.one_pivot : fixture.two_pivots;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture.model->Estimate(features).value().seconds);
+  }
+}
+BENCHMARK(BM_RemedyOnboardedJoin)->Arg(1)->Arg(2);
 
 void BM_SubOpJoinEstimate(benchmark::State& state) {
   for (auto _ : state) {

@@ -3,16 +3,18 @@
 #   1. configure + build the asan-ubsan preset (-Werror on),
 #   2. run the whole test suite under AddressSanitizer + UBSan,
 #   3. run the concurrency tests under ThreadSanitizer (tsan preset),
-#      including the admission-vs-retrain overload hammer,
+#      including the admission-vs-retrain overload hammer and the racing
+#      first-use builds of the remedy's pivot-set index,
 #   4. run the repo lint pass (tools/lint, token-aware rules incl.
 #      lock-discipline / atomic-ordering / no-nondeterminism) and the
 #      clang thread-safety analysis gate (scripts/check_static_analysis.sh;
 #      skipped with a warning when clang++ is not installed),
 #   5. run the EXPLAIN examples and validate their JSON artifacts' schemas,
 #   6. run the doc-drift gate (docs <-> source knob cross-check),
-#   7. run the serving-throughput, plan-search, model-lifecycle, and
-#      closed-loop traffic benches (default preset, no sanitizer) and check
-#      their BENCH json: hard floors fail, drift vs bench/baselines/ warns
+#   7. run the serving-throughput, plan-search, model-lifecycle,
+#      closed-loop traffic, and estimation-latency benches (default preset,
+#      no sanitizer) and check their BENCH json: hard floors fail, drift vs
+#      bench/baselines/ in each metric's worse direction warns
 #      (scripts/check_bench_regression.py).
 # Exits nonzero on any compiler warning, test failure, sanitizer report, or
 # lint finding. Tier-1 (`cmake -B build -S . && cmake --build build &&
@@ -53,7 +55,7 @@ ASAN_OPTIONS=halt_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-asan-ubsan --output-on-failure -j "$JOBS" \
     --timeout 300 -LE tier2
 
-echo "== [3/7] thread pool + parallel pipeline + observability + serving + resilience + lifecycle + admission under tsan =="
+echo "== [3/7] thread pool + parallel pipeline + observability + serving + resilience + lifecycle + admission + remedy index under tsan =="
 # Only the concurrency targets: everything that spawns threads goes through
 # src/util/thread_pool.* (lint rule no-raw-thread). parallel_training_test
 # drives every parallel code path, observability_test exercises the
@@ -67,18 +69,22 @@ echo "== [3/7] thread pool + parallel pipeline + observability + serving + resil
 # the epoch-bumped model swap (ConcurrentServeDuringRetrainHammer), and
 # admission_test races multi-tenant admission-gated traffic against the
 # lifecycle driver's drift/retrain/swap loop
-# (MultiTenantOverloadRetrainHammer), so tsan on these six binaries covers
-# the library's concurrency surface without a second full-suite run.
+# (MultiTenantOverloadRetrainHammer), and core_logical_test races the
+# first-use builds of the remedy's pivot-set index on one shared model
+# (RacingFirstUseBuildsMatchSingleThreaded), so tsan on these seven
+# binaries covers the library's concurrency surface without a second
+# full-suite run.
 cmake --preset tsan
 cmake --build --preset tsan --target parallel_training_test \
   observability_test serving_test resilience_test lifecycle_test \
-  admission_test -j "$JOBS"
+  admission_test core_logical_test -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/parallel_training_test
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/observability_test
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/serving_test
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/resilience_test
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/lifecycle_test
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/admission_test
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/core_logical_test
 
 echo "== [4/7] repo lint pass + thread-safety static analysis =="
 cmake --preset lint
@@ -121,13 +127,14 @@ echo "== [6/7] doc-drift gate =="
 # documented in docs/CONFIG.md.
 python3 scripts/check_docs.py
 
-echo "== [7/7] serving-throughput + plan-search + model-lifecycle + traffic benches + regression check =="
+echo "== [7/7] serving-throughput + plan-search + model-lifecycle + traffic + estimation-latency benches + regression check =="
 # A real (unsanitized) build: each bench enforces its own floors at
 # runtime and aborts on violation; the checker re-verifies the artifacts'
 # hard floors and warns about drift against bench/baselines/.
 cmake --preset default
 cmake --build --preset default --target bench_serving_throughput \
-  bench_plan_search bench_model_lifecycle bench_traffic -j "$JOBS"
+  bench_plan_search bench_model_lifecycle bench_traffic \
+  bench_estimation_latency -j "$JOBS"
 (cd build && ./bench/bench_serving_throughput)
 python3 scripts/check_bench_regression.py build/BENCH_serving_throughput.json
 (cd build && ./bench/bench_plan_search)
@@ -136,5 +143,7 @@ python3 scripts/check_bench_regression.py build/BENCH_plan_search.json
 python3 scripts/check_bench_regression.py build/BENCH_model_lifecycle.json
 (cd build && ./bench/bench_traffic)
 python3 scripts/check_bench_regression.py build/BENCH_traffic.json
+(cd build && ./bench/bench_estimation_latency)
+python3 scripts/check_bench_regression.py build/BENCH_estimation_latency.json
 
 echo "check.sh: all gates passed"

@@ -12,10 +12,18 @@ Two kinds of comparison, with very different teeth:
 
   * Drift (WARN only): if bench/baselines/ holds a reference artifact with
     the same file name, every shared metric is compared against it and a
-    relative drop beyond --drift-tolerance (default 25%) prints a warning.
-    Machine-to-machine throughput variance makes hard-failing on drift a
-    flake generator, so this is advisory: a human reads the warnings and
-    refreshes the reference when the change is intentional.
+    relative move in the worse direction beyond --drift-tolerance (default
+    25%) prints a warning. Machine-to-machine throughput variance makes
+    hard-failing on drift a flake generator, so this is advisory: a human
+    reads the warnings and refreshes the reference when the change is
+    intentional.
+
+    The worse direction comes from the metric: an explicit "better" field
+    ("higher" or "lower") wins; otherwise time units (ns, us, ms, s) are
+    lower-is-better and rates (*/s) higher-is-better. Counts (count,
+    cumulative, sum, entries, candidates, steps, threads, bool) measure
+    the workload, not the code, and are excluded from drift. Any other
+    unit (fraction, ratio, rel, x, mean, ...) is read as higher-is-better.
 
 Usage: check_bench_regression.py [--baselines DIR] [--drift-tolerance F]
                                  BENCH_foo.json [BENCH_bar.json ...]
@@ -34,6 +42,24 @@ def fail(msg):
 
 def warn(msg):
     print(f"check_bench_regression: WARN: {msg}", file=sys.stderr)
+
+
+TIME_UNITS = {"ns", "us", "ms", "s"}
+COUNT_UNITS = {"count", "cumulative", "sum", "entries", "candidates", "steps",
+               "threads", "bool"}
+
+
+def better_direction(metric):
+    """'higher', 'lower', or None for a metric excluded from drift."""
+    explicit = metric.get("better")
+    if explicit in ("higher", "lower"):
+        return explicit
+    unit = metric.get("unit", "")
+    if unit in COUNT_UNITS:
+        return None
+    if unit in TIME_UNITS:
+        return "lower"
+    return "higher"
 
 
 def load(path):
@@ -62,7 +88,8 @@ def main():
         help="directory holding reference BENCH_*.json artifacts")
     parser.add_argument(
         "--drift-tolerance", type=float, default=0.25,
-        help="relative drop vs the reference that triggers a warning")
+        help="relative move in the worse direction vs the reference that "
+             "triggers a warning")
     args = parser.parse_args()
 
     failures = 0
@@ -91,14 +118,20 @@ def main():
             continue
         reference = load(ref_path)
         for name in sorted(set(metrics) & set(reference)):
+            direction = better_direction(metrics[name])
+            if direction is None:
+                continue
             ref_value = reference[name]["value"]
             if not isinstance(ref_value, (int, float)) or ref_value <= 0:
-                continue  # counters at 0 and non-throughput samples: skip
+                continue  # zero or non-numeric reference: no relative drift
             value = metrics[name]["value"]
-            drop = (ref_value - value) / ref_value
-            if drop > args.drift_tolerance:
-                warn(f"{path}: '{name}' drifted down {100 * drop:.0f}% "
-                     f"({value:g} vs reference {ref_value:g})")
+            change = (value - ref_value) / ref_value
+            worse = -change if direction == "higher" else change
+            if worse > args.drift_tolerance:
+                moved = "down" if change < 0 else "up"
+                warn(f"{path}: '{name}' drifted {moved} "
+                     f"{100 * abs(change):.0f}% ({value:g} vs reference "
+                     f"{ref_value:g}, {direction} is better)")
                 warnings += 1
 
     if failures:

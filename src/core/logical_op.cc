@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "ml/linear_regression.h"
@@ -21,7 +22,49 @@ std::vector<double> PivotValues(const std::vector<double>& features,
   return v;
 }
 
+// Normalization width of a dimension in the remedy's distances: its
+// trained span, or 1 when the span is degenerate.
+double Span(const DimensionMeta& m) {
+  double span = m.max - m.min;
+  return span <= 0.0 ? 1.0 : span;
+}
+
 }  // namespace
+
+LogicalOpModel::PivotIndexCache& LogicalOpModel::PivotIndexCache::operator=(
+    const PivotIndexCache& other) {
+  Map copy = other.Snapshot();
+  WriterMutexLock lock(&mu_);
+  sets_ = std::move(copy);
+  return *this;
+}
+
+std::shared_ptr<const LogicalOpModel::PivotSetIndex>
+LogicalOpModel::PivotIndexCache::Find(
+    const std::vector<size_t>& pivots) const {
+  ReaderMutexLock lock(&mu_);
+  auto it = sets_.find(pivots);
+  return it == sets_.end() ? nullptr : it->second;
+}
+
+std::shared_ptr<const LogicalOpModel::PivotSetIndex>
+LogicalOpModel::PivotIndexCache::Publish(
+    const std::vector<size_t>& pivots,
+    std::shared_ptr<const PivotSetIndex> built) {
+  WriterMutexLock lock(&mu_);
+  return sets_.try_emplace(pivots, std::move(built)).first->second;
+}
+
+void LogicalOpModel::PivotIndexCache::Clear() {
+  WriterMutexLock lock(&mu_);
+  sets_.clear();
+}
+
+LogicalOpModel::PivotIndexCache::Map
+LogicalOpModel::PivotIndexCache::Snapshot() const {
+  ReaderMutexLock lock(&mu_);
+  return sets_;
+}
 
 Result<LogicalOpModel> LogicalOpModel::Train(rel::OperatorType type,
                                              const ml::Dataset& data,
@@ -106,19 +149,26 @@ Status LogicalOpModel::EstimateBatch(
   return Status::OK();
 }
 
-double LogicalOpModel::NonPivotDistance(
-    const std::vector<double>& a, const std::vector<double>& b,
+std::shared_ptr<const LogicalOpModel::PivotSetIndex> LogicalOpModel::IndexFor(
     const std::vector<size_t>& pivots) const {
-  double d = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::find(pivots.begin(), pivots.end(), i) != pivots.end()) continue;
-    const DimensionMeta& m = metadata_.dimension(i);
-    double span = m.max - m.min;
-    if (span <= 0.0) span = 1.0;
-    double delta = (a[i] - b[i]) / span;
-    d += delta * delta;
+  if (auto found = pivot_index_.Find(pivots)) return found;
+  // Group by pivot tuple through std::map itself, so the groups are
+  // exactly the equivalence classes of its operator<. Rows arrive in
+  // ascending order, so each group's first row is its lowest.
+  std::map<std::vector<double>, std::vector<uint32_t>> groups;
+  for (size_t r = 0; r < data_.size(); ++r) {
+    groups[PivotValues(data_.x[r], pivots)].push_back(
+        static_cast<uint32_t>(r));
   }
-  return d;
+  auto index = std::make_shared<PivotSetIndex>();
+  index->rows.reserve(data_.size());
+  index->group_begin.reserve(groups.size() + 1);
+  for (const auto& [tuple, rows] : groups) {
+    index->group_begin.push_back(static_cast<uint32_t>(index->rows.size()));
+    index->rows.insert(index->rows.end(), rows.begin(), rows.end());
+  }
+  index->group_begin.push_back(static_cast<uint32_t>(index->rows.size()));
+  return pivot_index_.Publish(pivots, std::move(index));
 }
 
 Result<double> LogicalOpModel::PivotRegressionEstimate(
@@ -127,40 +177,54 @@ Result<double> LogicalOpModel::PivotRegressionEstimate(
   if (data_.size() == 0) {
     return Status::FailedPrecondition("no retained training data for remedy");
   }
-  // Group training rows by their pivot-value tuple; within each group keep
-  // the row whose non-pivot dimensions best match the query ("their values
-  // in the D_inRange dimensions are matching or very close").
-  std::map<std::vector<double>, size_t> best_per_tuple;
-  for (size_t r = 0; r < data_.size(); ++r) {
-    std::vector<double> tuple = PivotValues(data_.x[r], pivots);
-    auto it = best_per_tuple.find(tuple);
-    if (it == best_per_tuple.end()) {
-      best_per_tuple.emplace(std::move(tuple), r);
-    } else if (NonPivotDistance(features, data_.x[r], pivots) <
-               NonPivotDistance(features, data_.x[it->second], pivots)) {
-      it->second = r;
-    }
+  if (data_.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("too many retained training rows");
   }
-  // Rank pivot tuples by proximity to the query's pivot values ("immediate
-  // successors and/or predecessors") and keep the closest k groups.
-  std::vector<double> qp = PivotValues(features, pivots);
+  const std::shared_ptr<const PivotSetIndex> index = IndexFor(pivots);
+  const size_t dims = features.size();
+  std::vector<double> span(dims);
+  std::vector<char> is_pivot(dims, 0);
+  for (size_t i = 0; i < dims; ++i) span[i] = Span(metadata_.dimension(i));
+  for (size_t p : pivots) is_pivot[p] = 1;
+
+  // Within each pivot-tuple group keep the row whose non-pivot dimensions
+  // best match the query ("their values in the D_inRange dimensions are
+  // matching or very close"); the lowest row wins ties. Then rank the
+  // groups by their tuple's proximity to the query's pivot values
+  // ("immediate successors and/or predecessors") and keep the closest k.
   std::vector<std::pair<double, size_t>> ranked;
-  ranked.reserve(best_per_tuple.size());
-  for (const auto& [tuple, row] : best_per_tuple) {
+  ranked.reserve(index->group_begin.size() - 1);
+  for (size_t g = 0; g + 1 < index->group_begin.size(); ++g) {
+    const uint32_t begin = index->group_begin[g];
+    const uint32_t end = index->group_begin[g + 1];
+    size_t best = 0;
+    double best_d = 0.0;
+    for (uint32_t j = begin; j < end; ++j) {
+      const std::vector<double>& row = data_.x[index->rows[j]];
+      double d = 0.0;
+      for (size_t i = 0; i < dims; ++i) {
+        if (is_pivot[i]) continue;
+        double delta = (features[i] - row[i]) / span[i];
+        d += delta * delta;
+      }
+      if (j == begin || d < best_d) {
+        best = index->rows[j];
+        best_d = d;
+      }
+    }
+    const std::vector<double>& tuple = data_.x[index->rows[begin]];
     double d = 0.0;
-    for (size_t i = 0; i < tuple.size(); ++i) {
-      const DimensionMeta& m = metadata_.dimension(pivots[i]);
-      double span = m.max - m.min;
-      if (span <= 0.0) span = 1.0;
-      double delta = (tuple[i] - qp[i]) / span;
+    for (size_t p : pivots) {
+      double delta = (tuple[p] - features[p]) / span[p];
       d += delta * delta;
     }
-    ranked.emplace_back(d, row);
+    ranked.emplace_back(d, best);
   }
-  std::sort(ranked.begin(), ranked.end());
   size_t k = std::max<size_t>(pivots.size() + 2,
                               static_cast<size_t>(opts_.remedy_neighbors));
-  if (ranked.size() > k) ranked.resize(k);
+  k = std::min(k, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end());
+  ranked.resize(k);
 
   ml::Dataset pivot_data;
   for (const auto& [d, row] : ranked) {
@@ -173,7 +237,7 @@ Result<double> LogicalOpModel::PivotRegressionEstimate(
     return pivot_data.y.empty() ? Status::Internal("no remedy neighbors")
                                 : Result<double>(pivot_data.y[0]);
   }
-  return lr.value().Predict(qp);
+  return lr.value().Predict(PivotValues(features, pivots));
 }
 
 void LogicalOpModel::Save(const std::string& prefix,
@@ -277,6 +341,7 @@ Status LogicalOpModel::OfflineTune() {
   ISPHERE_RETURN_NOT_OK(
       mlp_.ContinueTraining(new_data, opts_.tuning_iterations));
   ISPHERE_RETURN_NOT_OK(data_.Append(new_data));
+  pivot_index_.Clear();
   ISPHERE_RETURN_NOT_OK(
       metadata_.Absorb(rows, opts_.continuity_factor).status());
   log_.clear();

@@ -17,6 +17,9 @@
 #ifndef INTELLISPHERE_CORE_LOGICAL_OP_H_
 #define INTELLISPHERE_CORE_LOGICAL_OP_H_
 
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "ml/mlp.h"
 #include "relational/query.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace intellisphere::core {
 
@@ -134,16 +138,57 @@ class LogicalOpModel {
     double remedy_seconds = 0.0;
   };
 
+  /// The retained rows of data_ grouped by pivot-value tuple, for one
+  /// pivot set. Group g is rows[group_begin[g], group_begin[g + 1]): its
+  /// rows in ascending index order, so the first one carries the group's
+  /// tuple. Groups follow the tuples' lexicographic order, and tuples are
+  /// equal exactly when std::map's operator< finds them equivalent (so
+  /// -0.0 and 0.0 share a group).
+  struct PivotSetIndex {
+    std::vector<uint32_t> rows;
+    std::vector<uint32_t> group_begin;  ///< G + 1 run boundaries
+  };
+
+  /// Derived pivot-set indexes over data_, keyed by the sorted pivot
+  /// dimensions. Each is built on the first remedy call for its pivot set
+  /// and published as an immutable snapshot, so concurrent readers of a
+  /// const model share it. Dropped whenever data_ changes; never
+  /// serialized. A copy shares the source's snapshots, which index the
+  /// identical data_ it copies.
+  class PivotIndexCache {
+   public:
+    PivotIndexCache() = default;
+    PivotIndexCache(const PivotIndexCache& other) : sets_(other.Snapshot()) {}
+    PivotIndexCache& operator=(const PivotIndexCache& other) EXCLUDES(mu_);
+
+    /// The published index for `pivots`, or null before its first build.
+    std::shared_ptr<const PivotSetIndex> Find(
+        const std::vector<size_t>& pivots) const EXCLUDES(mu_);
+    /// Publishes `built` unless a racing build got there first; returns
+    /// the published index either way.
+    std::shared_ptr<const PivotSetIndex> Publish(
+        const std::vector<size_t>& pivots,
+        std::shared_ptr<const PivotSetIndex> built) EXCLUDES(mu_);
+    void Clear() EXCLUDES(mu_);
+
+   private:
+    using Map =
+        std::map<std::vector<size_t>, std::shared_ptr<const PivotSetIndex>>;
+    Map Snapshot() const EXCLUDES(mu_);
+
+    mutable SharedMutex mu_;
+    Map sets_ GUARDED_BY(mu_);
+  };
+
   /// QueryTime-Remedy(): extracts the closest training points, fits a
   /// regression over the pivot dimensions, and extrapolates.
   [[nodiscard]] Result<double> PivotRegressionEstimate(
       const std::vector<double>& features,
       const std::vector<size_t>& pivots) const;
 
-  /// Normalized distance over the non-pivot dimensions.
-  double NonPivotDistance(const std::vector<double>& a,
-                          const std::vector<double>& b,
-                          const std::vector<size_t>& pivots) const;
+  /// The pivot-set index for `pivots`, built and published on first use.
+  std::shared_ptr<const PivotSetIndex> IndexFor(
+      const std::vector<size_t>& pivots) const;
 
   rel::OperatorType type_ = rel::OperatorType::kJoin;
   LogicalOpOptions opts_;
@@ -152,6 +197,7 @@ class LogicalOpModel {
   ml::Dataset data_;  ///< retained training points for neighbor extraction
   double alpha_ = 0.5;
   std::vector<LogRecord> log_;
+  mutable PivotIndexCache pivot_index_;  ///< derived from data_
 };
 
 }  // namespace intellisphere::core

@@ -86,6 +86,10 @@ struct BenchMetric {
   /// warn-only drift comparison against bench/baselines/. Declared after
   /// `unit` so existing three-element aggregate initializers still compile.
   double baseline = 0.0;
+  /// Optional drift direction, "higher" or "lower" (empty = infer from the
+  /// unit). Emitted as a "better" field; scripts/check_bench_regression.py
+  /// lets it override the unit rule.
+  std::string better{};
 };
 
 // JSON string escaping comes from util/json.h (intellisphere::JsonEscape),
@@ -94,18 +98,22 @@ struct BenchMetric {
 /// Appends every sample of a runtime-metrics snapshot to a bench's metric
 /// list, so operational counters (approach selections, remedy activations,
 /// estimate-latency buckets) land in BENCH_<name>.json next to the latency
-/// numbers.
+/// numbers. Histogram means (unit "mean") are runtime latencies, so they
+/// are marked lower-is-better; their unit alone says nothing about
+/// direction.
 inline void AppendMetricsSnapshot(const MetricsSnapshot& snapshot,
                                   std::vector<BenchMetric>* out) {
   for (const MetricSample& s : snapshot.samples) {
-    out->push_back({s.name, s.value, s.unit});
+    out->push_back({s.name, s.value, s.unit, 0.0,
+                    s.unit == "mean" ? "lower" : ""});
   }
 }
 
 /// Writes the bench's metrics to BENCH_<bench_name>.json in the working
 /// directory so CI can diff runs without scraping stdout. The format is a
 /// single object: {"bench": ..., "seed": ..., "metrics": [{"name": ...,
-/// "value": ..., "unit": ...}, ...]}.
+/// "value": ..., "unit": ...}, ...]}; "baseline" and "better" appear only
+/// when set.
 [[nodiscard]] inline Status WriteBenchJson(
     const std::string& bench_name, uint64_t seed,
     const std::vector<BenchMetric>& metrics) {
@@ -128,6 +136,9 @@ inline void AppendMetricsSnapshot(const MetricsSnapshot& snapshot,
       std::snprintf(baseline, sizeof(baseline), "%.17g",
                     metrics[i].baseline);
       out << ", \"baseline\": " << baseline;
+    }
+    if (!metrics[i].better.empty()) {
+      out << ", \"better\": \"" << JsonEscape(metrics[i].better) << "\"";
     }
     out << "}";
   }

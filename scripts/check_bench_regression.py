@@ -23,7 +23,9 @@ Two kinds of comparison, with very different teeth:
     lower-is-better and rates (*/s) higher-is-better. Counts (count,
     cumulative, sum, entries, candidates, steps, threads, bool) measure
     the workload, not the code, and are excluded from drift. Any other
-    unit (fraction, ratio, rel, x, mean, ...) is read as higher-is-better.
+    unit (fraction, ratio, rel, x, mean, ...) is read as higher-is-better;
+    the benches mark their runtime-histogram means (unit mean, e.g.
+    estimate.latency_us.mean) "better": "lower" explicitly.
 
 Usage: check_bench_regression.py [--baselines DIR] [--drift-tolerance F]
                                  BENCH_foo.json [BENCH_bar.json ...]

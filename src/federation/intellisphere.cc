@@ -143,9 +143,21 @@ Status IntelliSphere::AttachAdmissionController(
 std::vector<Result<core::HybridEstimate>> IntelliSphere::CostBatch(
     const std::vector<PlanCostRequest>& requests,
     const core::EstimateContext& ctx) const {
-  std::vector<Result<core::HybridEstimate>> out(
-      requests.size(),
-      Result<core::HybridEstimate>(Status::Internal("request not costed")));
+  // Every position is assigned below: master requests inline, remote ones
+  // through `place`, which builds the "not costed" status only for the
+  // positions a short batch leaves without an answer.
+  std::vector<Result<core::HybridEstimate>> out(requests.size(),
+                                                core::HybridEstimate{});
+  auto place = [&out](const std::vector<size_t>& positions,
+                      std::vector<Result<core::HybridEstimate>>& results) {
+    for (size_t j = 0; j < positions.size(); ++j) {
+      if (j < results.size()) {
+        out[positions[j]] = std::move(results[j]);
+      } else {
+        out[positions[j]] = Status::Internal("request not costed");
+      }
+    }
+  };
   // Master-engine requests never leave the process: the analytic local
   // model is evaluated inline (it is not cacheable state, and the serving
   // layer deliberately wraps only remote profiles).
@@ -183,9 +195,7 @@ std::vector<Result<core::HybridEstimate>> IntelliSphere::CostBatch(
       std::vector<Result<core::HybridEstimate>> results =
           admission_ != nullptr ? admission_->EstimateBatch(remote, ctx)
                                 : serving_->EstimateBatch(remote, ctx);
-      for (size_t j = 0; j < positions.size() && j < results.size(); ++j) {
-        out[positions[j]] = std::move(results[j]);
-      }
+      place(positions, results);
     }
     return out;
   }
@@ -212,9 +222,7 @@ std::vector<Result<core::HybridEstimate>> IntelliSphere::CostBatch(
       for (size_t i : positions) out[i] = batch;
       continue;
     }
-    for (size_t j = 0; j < positions.size() && j < results.size(); ++j) {
-      out[positions[j]] = std::move(results[j]);
-    }
+    place(positions, results);
   }
   return out;
 }

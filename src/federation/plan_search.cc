@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
-#include <set>
+#include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace intellisphere::fed {
 
@@ -26,25 +27,20 @@ core::EstimateContext ProvenanceContext(const core::EstimateContext& ctx) {
   return out;
 }
 
-/// The approach string a node reports: the master engine's analytic model
-/// is "local"; remote hosts report their profile's approach.
-std::string ApproachLabel(const std::string& host, const std::string& master,
-                          const core::HybridEstimate& est) {
-  return host == master ? "local"
-                        : core::CostingApproachName(est.approach_used);
-}
-
-/// Copies an estimate's costing provenance into a plan node.
-void FillNodeProvenance(const std::string& host, const std::string& master,
-                        const core::HybridEstimate& est, QueryPlanNode* node) {
+/// Moves an estimate's costing provenance into a plan node. The master
+/// engine's analytic model reports "local"; remote hosts report their
+/// profile's approach.
+void FillNodeProvenance(bool on_master, core::HybridEstimate&& est,
+                        QueryPlanNode* node) {
   node->operator_seconds = est.seconds;
-  node->approach = ApproachLabel(host, master, est);
-  node->algorithm = est.algorithm;
-  node->algorithm_candidates = est.candidates;
-  node->eliminated_algorithms = est.eliminated;
+  node->approach =
+      on_master ? "local" : core::CostingApproachName(est.approach_used);
+  node->algorithm = std::move(est.algorithm);
+  node->algorithm_candidates = std::move(est.candidates);
+  node->eliminated_algorithms = std::move(est.eliminated);
   node->used_remedy = est.used_remedy;
   node->remedy_alpha = est.remedy_alpha;
-  node->fell_back_reason = est.fell_back_reason;
+  node->fell_back_reason = std::move(est.fell_back_reason);
 }
 
 /// Per-relation derived inputs: post-filter cardinality, the width that
@@ -52,7 +48,7 @@ void FillNodeProvenance(const std::string& host, const std::string& master,
 /// projections.
 struct RelationInfo {
   std::string table;
-  std::string location;
+  int site = 0;  ///< interned id of the relation's location
   int64_t base_rows = 0;
   int64_t base_width = 0;
   int64_t rows = 0;   ///< post-filter
@@ -70,10 +66,29 @@ struct MaskStats {
   int64_t proj = 0;   ///< projected contribution to an enclosing join
 };
 
-/// Best known way to materialize a subset's result on one site.
+/// Best known way to materialize a subset's result on one site; node -1
+/// marks an absent entry.
 struct DpEntry {
   double cost = 0.0;
   int node = -1;
+};
+
+/// The distinct candidate hosts of one operator, ascending. Site ids are
+/// name ranks, so this is the order a std::set of the names iterates in —
+/// the host order the wrapper bit-parity contract pins.
+class HostSet {
+ public:
+  HostSet(int a, int b) : HostSet(a, b, b) {}
+  HostSet(int a, int b, int c) : ids_{a, b, c} {
+    std::sort(ids_, ids_ + 3);
+    size_ = static_cast<int>(std::unique(ids_, ids_ + 3) - ids_);
+  }
+  const int* begin() const { return ids_; }
+  const int* end() const { return ids_ + size_; }
+
+ private:
+  int ids_[3];
+  int size_ = 0;
 };
 
 class Searcher {
@@ -103,8 +118,8 @@ class Searcher {
     }
     ISPHERE_RETURN_NOT_OK(FinishCandidates(&root));
 
-    for (const auto& sites : dp_) {
-      plan_.dp_entries += static_cast<int64_t>(sites.size());
+    for (const DpEntry& entry : dp_) {
+      if (entry.node >= 0) plan_.dp_entries++;
     }
     std::sort(plan_.candidates.begin(), plan_.candidates.end(),
               [](const QueryPlanCandidate& a, const QueryPlanCandidate& b) {
@@ -149,6 +164,17 @@ class Searcher {
       return Status::InvalidArgument("plan-search input is missing a hook");
     }
 
+    // Intern the sites: an id is the name's rank, so ascending ids visit
+    // sites in name order.
+    sites_.reserve(input_.tables.size() + 1);
+    sites_.push_back(input_.master);
+    for (const rel::TableDef& def : input_.tables) {
+      sites_.push_back(def.location);
+    }
+    std::sort(sites_.begin(), sites_.end());
+    sites_.erase(std::unique(sites_.begin(), sites_.end()), sites_.end());
+    master_ = SiteId(input_.master);
+
     const bool bare_scan = spec.relations.size() == 1 && spec.joins.empty() &&
                            !spec.aggregate.has_value();
     relations_.reserve(spec.relations.size());
@@ -157,7 +183,7 @@ class Searcher {
       const rel::TableDef& def = input_.tables[i];
       RelationInfo info;
       info.table = r.table;
-      info.location = def.location;
+      info.site = SiteId(def.location);
       info.base_rows = def.stats.num_rows;
       info.base_width = def.stats.row_bytes;
       info.proj = r.projected_bytes >= 0 ? r.projected_bytes
@@ -184,10 +210,34 @@ class Searcher {
                                                   << static_cast<unsigned>(
                                                       p.left);
     }
-    dp_.assign(size_t{1} << n, {});
+    dp_.assign((size_t{1} << n) * sites_.size(), DpEntry{});
     mask_stats_.assign(size_t{1} << n, MaskStats{});
     mask_stats_ready_.assign(size_t{1} << n, 0);
     return Status::OK();
+  }
+
+  int SiteId(const std::string& name) const {
+    return static_cast<int>(
+        std::lower_bound(sites_.begin(), sites_.end(), name) -
+        sites_.begin());
+  }
+
+  int NumSites() const { return static_cast<int>(sites_.size()); }
+
+  /// dp_[mask * sites + site]: cheapest way to have `mask`'s join result on
+  /// `site`.
+  DpEntry& Entry(uint64_t mask, int site) {
+    return dp_[mask * sites_.size() + static_cast<size_t>(site)];
+  }
+
+  /// Relations sharing a join predicate with some member of `mask`.
+  uint64_t Neighbours(uint64_t mask) const {
+    uint64_t out = 0;
+    while (mask != 0) {
+      out |= adjacency_[static_cast<size_t>(std::countr_zero(mask))];
+      mask &= mask - 1;
+    }
+    return out;
   }
 
   bool Connected(uint64_t mask) const {
@@ -195,26 +245,10 @@ class Searcher {
     uint64_t reach = mask & (~mask + 1);
     uint64_t frontier = reach;
     while (frontier != 0) {
-      uint64_t next = 0;
-      uint64_t scan = frontier;
-      while (scan != 0) {
-        const int i = std::countr_zero(scan);
-        scan &= scan - 1;
-        next |= adjacency_[static_cast<size_t>(i)];
-      }
-      frontier = next & mask & ~reach;
+      frontier = Neighbours(frontier) & mask & ~reach;
       reach |= frontier;
     }
     return reach == mask;
-  }
-
-  bool HasCrossPredicate(uint64_t a, uint64_t b) const {
-    for (const QuerySpec::JoinPredicate& p : input_.spec->joins) {
-      const uint64_t l = uint64_t{1} << static_cast<unsigned>(p.left);
-      const uint64_t r = uint64_t{1} << static_cast<unsigned>(p.right);
-      if (((l & a) && (r & b)) || ((l & b) && (r & a))) return true;
-    }
-    return false;
   }
 
   /// Distinct count of a join-predicate endpoint within its relation,
@@ -276,8 +310,15 @@ class Searcher {
     return stats;
   }
 
-  std::string MaskLabel(uint64_t mask) const {
-    std::string label = "{";
+  /// "{t0,t1,...}" for a subset, rendered on first use and memoized: labels
+  /// are needed only when a dropped subplan is recorded.
+  const std::string& MaskLabel(uint64_t mask) {
+    if (mask_labels_.empty()) {
+      mask_labels_.resize(size_t{1} << relations_.size());
+    }
+    std::string& label = mask_labels_[mask];
+    if (!label.empty()) return label;
+    label = "{";
     uint64_t scan = mask;
     while (scan != 0) {
       const int i = std::countr_zero(scan);
@@ -293,7 +334,7 @@ class Searcher {
     const RelationInfo& info = relations_[static_cast<size_t>(relation)];
     QueryPlanNode node;
     node.kind = QueryPlanNode::Kind::kTable;
-    node.system = info.location;
+    node.system = sites_[static_cast<size_t>(info.site)];
     node.label = info.table;
     node.relation_mask = uint64_t{1} << static_cast<unsigned>(relation);
     node.output_rows = info.base_rows;
@@ -302,9 +343,18 @@ class Searcher {
     return static_cast<int>(plan_.nodes.size()) - 1;
   }
 
+  /// Appends a costed node to the arena and counts it; returns its index.
+  int AddCostedNode(QueryPlanNode&& node, TraceSpan* root) {
+    plan_.nodes.push_back(std::move(node));
+    costed_counter_->Increment();
+    plan_.candidates_costed++;
+    EmitCandidateSpan(root, plan_.nodes.back());
+    return static_cast<int>(plan_.nodes.size()) - 1;
+  }
+
   void EmitCandidateSpan(TraceSpan* root, const QueryPlanNode& node) {
+    if (!root->enabled()) return;
     TraceSpan span = root->Child("plan.candidate");
-    if (!span.enabled()) return;
     span.SetString("system", node.system)
         .SetString("approach", node.approach)
         .SetDouble("transfer_seconds", node.transfer_seconds)
@@ -314,31 +364,36 @@ class Searcher {
   }
 
   void EmitEliminatedSpan(TraceSpan* root, const PrunedSubplan& p) {
+    if (!root->enabled()) return;
     TraceSpan span = root->Child("plan.candidate");
-    if (!span.enabled()) return;
     span.SetString("system", p.system)
         .SetString("eliminated_reason", p.reason);
   }
 
   /// Installs a costed candidate into the DP table, recording whichever of
-  /// the old and new entries loses as a dominated subplan.
-  void Fold(uint64_t mask, const std::string& site, double cost, int node,
-            QueryPlanNode::Kind stage, const std::string& description) {
-    auto [it, inserted] = dp_[mask].emplace(site, DpEntry{cost, node});
-    if (inserted) return;
-    const bool wins = cost < it->second.cost;
-    const int losing_node = wins ? it->second.node : node;
+  /// the old and new entries loses as a dominated subplan. `describe`
+  /// renders the new candidate's label, and runs only when one is recorded.
+  template <typename Describe>
+  void Fold(uint64_t mask, int site, double cost, int node,
+            QueryPlanNode::Kind stage, Describe&& describe) {
+    DpEntry& entry = Entry(mask, site);
+    if (entry.node < 0) {
+      entry = DpEntry{cost, node};
+      return;
+    }
+    const bool wins = cost < entry.cost;
+    const int losing_node = wins ? entry.node : node;
     PrunedSubplan pruned;
     pruned.kind = PrunedSubplan::Kind::kDominated;
     pruned.stage = stage;
     pruned.relation_mask = mask;
-    pruned.system = site;
+    pruned.system = sites_[static_cast<size_t>(site)];
     pruned.subtree_seconds =
         plan_.nodes[static_cast<size_t>(losing_node)].subtree_seconds;
     pruned.reason = "dominated by a cheaper subplan for the same relations";
-    pruned.description = description;
+    pruned.description = describe();
     plan_.pruned.push_back(std::move(pruned));
-    if (wins) it->second = DpEntry{cost, node};
+    if (wins) entry = DpEntry{cost, node};
   }
 
   /// Level 1: register unfiltered base tables at rest and cost the scan
@@ -346,7 +401,7 @@ class Searcher {
   Status BaseLevel(TraceSpan* root) {
     struct PendingScan {
       int relation;
-      std::string host;
+      int host;
       double transfer;
     };
     std::vector<PlanCostRequest> requests;
@@ -358,7 +413,7 @@ class Searcher {
       const uint64_t bit = uint64_t{1} << i;
       table_nodes[i] = AddTableNode(static_cast<int>(i));
       if (!info.scanned) {
-        dp_[bit].emplace(info.location, DpEntry{0.0, table_nodes[i]});
+        Entry(bit, info.site) = DpEntry{0.0, table_nodes[i]};
         continue;
       }
       rel::ScanQuery q;
@@ -368,17 +423,18 @@ class Searcher {
       q.output_rows = info.rows;
       rel::SqlOperator op = rel::SqlOperator::MakeScan(q);
       ISPHERE_RETURN_NOT_OK(op.Validate());
-      const std::set<std::string> hosts = {input_.master, info.location};
-      for (const std::string& host : hosts) {
+      for (int host : HostSet(master_, info.site)) {
         double transfer = 0.0;
-        if (info.location != host) {
+        if (info.site != host) {
           // QueryGrid evaluates simple predicates on the fly: only
           // survivors travel, already projected.
           ISPHERE_ASSIGN_OR_RETURN(
-              transfer, input_.transfer(info.location, host, info.rows,
-                                        info.proj));
+              transfer,
+              input_.transfer(sites_[static_cast<size_t>(info.site)],
+                              sites_[static_cast<size_t>(host)], info.rows,
+                              info.proj));
         }
-        requests.push_back({host, op});
+        requests.push_back({sites_[static_cast<size_t>(host)], op});
         pending.push_back({static_cast<int>(i), host, transfer});
       }
     }
@@ -393,32 +449,34 @@ class Searcher {
       const PendingScan& c = pending[i];
       const RelationInfo& info = relations_[static_cast<size_t>(c.relation)];
       const uint64_t bit = uint64_t{1} << static_cast<unsigned>(c.relation);
+      auto describe = [&] {
+        return "scan(" + info.table + ") at " +
+               sites_[static_cast<size_t>(c.host)];
+      };
       if (!results[i].ok()) {
-        ISPHERE_RETURN_NOT_OK(RecordFailure(
-            results[i].status(), QueryPlanNode::Kind::kScan, bit, c.host,
-            /*via=*/"", "scan(" + info.table + ") at " + c.host, root));
+        ISPHERE_RETURN_NOT_OK(RecordFailure(results[i].status(),
+                                            QueryPlanNode::Kind::kScan, bit,
+                                            c.host, /*via=*/-1, describe,
+                                            root));
         continue;
       }
       QueryPlanNode node;
       node.kind = QueryPlanNode::Kind::kScan;
-      node.system = c.host;
+      node.system = sites_[static_cast<size_t>(c.host)];
       node.label = info.table;
       node.relation_mask = bit;
       node.output_rows = info.rows;
       node.output_row_bytes = info.proj;
       node.transfer_seconds = c.transfer;
-      FillNodeProvenance(c.host, input_.master, results[i].value(), &node);
+      FillNodeProvenance(c.host == master_, std::move(results[i]).value(),
+                         &node);
       node.subtree_seconds = c.transfer + node.operator_seconds;
-      node.op = requests[i].op;
+      node.op = std::move(requests[i].op);
       node.children = {table_nodes[static_cast<size_t>(c.relation)]};
-      plan_.nodes.push_back(std::move(node));
-      const int node_index = static_cast<int>(plan_.nodes.size()) - 1;
-      costed_counter_->Increment();
-      plan_.candidates_costed++;
-      EmitCandidateSpan(root, plan_.nodes.back());
-      Fold(bit, c.host, plan_.nodes.back().subtree_seconds, node_index,
-           QueryPlanNode::Kind::kScan,
-           "scan(" + info.table + ") at " + c.host);
+      const double cost = node.subtree_seconds;
+      const int node_index = AddCostedNode(std::move(node), root);
+      Fold(bit, c.host, cost, node_index, QueryPlanNode::Kind::kScan,
+           describe);
     }
     return Status::OK();
   }
@@ -429,16 +487,17 @@ class Searcher {
   Status JoinLevel(int level, TraceSpan* root) {
     struct PendingJoin {
       uint64_t mask;
-      std::string host;
+      uint64_t left_mask, right_mask;
+      int left_site, right_site, host;
       double left_cost, right_cost;
       double transfer_left, transfer_right;
       int left_node, right_node;
-      std::string description;
     };
     std::vector<PlanCostRequest> requests;
     std::vector<PendingJoin> pending;
 
     const size_t n = relations_.size();
+    const int num_sites = NumSites();
     const uint64_t limit = uint64_t{1} << n;
     for (uint64_t mask = 1; mask < limit; ++mask) {
       if (std::popcount(mask) != level) continue;
@@ -449,7 +508,7 @@ class Searcher {
         if (!(sub & low)) continue;  // canonical: sub keeps the lowest bit
         const uint64_t rest = mask ^ sub;
         if (!Connected(sub) || !Connected(rest)) continue;
-        if (!HasCrossPredicate(sub, rest)) continue;
+        if (!(Neighbours(sub) & rest)) continue;  // no cross predicate
         ISPHERE_ASSIGN_OR_RETURN(MaskStats sub_stats, StatsFor(sub));
         ISPHERE_ASSIGN_OR_RETURN(MaskStats rest_stats, StatsFor(rest));
         // Orient so the right side is the smaller relation (engine
@@ -482,32 +541,36 @@ class Searcher {
         rel::SqlOperator op = rel::SqlOperator::MakeJoin(q);
         ISPHERE_RETURN_NOT_OK(op.Validate());
 
-        for (const auto& [left_site, left_entry] : dp_[left_mask]) {
-          for (const auto& [right_site, right_entry] : dp_[right_mask]) {
-            const std::set<std::string> hosts = {input_.master, left_site,
-                                                 right_site};
-            for (const std::string& host : hosts) {
+        for (int left_site = 0; left_site < num_sites; ++left_site) {
+          const DpEntry left_entry = Entry(left_mask, left_site);
+          if (left_entry.node < 0) continue;
+          for (int right_site = 0; right_site < num_sites; ++right_site) {
+            const DpEntry right_entry = Entry(right_mask, right_site);
+            if (right_entry.node < 0) continue;
+            for (int host : HostSet(master_, left_site, right_site)) {
+              const std::string& host_name =
+                  sites_[static_cast<size_t>(host)];
               double transfer_left = 0.0, transfer_right = 0.0;
               if (left_site != host) {
                 ISPHERE_ASSIGN_OR_RETURN(
                     transfer_left,
-                    input_.transfer(left_site, host, left_stats.rows,
+                    input_.transfer(sites_[static_cast<size_t>(left_site)],
+                                    host_name, left_stats.rows,
                                     left_stats.width));
               }
               if (right_site != host) {
                 ISPHERE_ASSIGN_OR_RETURN(
                     transfer_right,
-                    input_.transfer(right_site, host, right_stats.rows,
+                    input_.transfer(sites_[static_cast<size_t>(right_site)],
+                                    host_name, right_stats.rows,
                                     right_stats.width));
               }
-              requests.push_back({host, op});
-              pending.push_back(
-                  {mask, host, left_entry.cost, right_entry.cost,
-                   transfer_left, transfer_right, left_entry.node,
-                   right_entry.node,
-                   "join(" + MaskLabel(left_mask) + "@" + left_site + ", " +
-                       MaskLabel(right_mask) + "@" + right_site + ") at " +
-                       host});
+              requests.push_back({host_name, op});
+              pending.push_back({mask, left_mask, right_mask, left_site,
+                                 right_site, host, left_entry.cost,
+                                 right_entry.cost, transfer_left,
+                                 transfer_right, left_entry.node,
+                                 right_entry.node});
             }
           }
         }
@@ -522,10 +585,18 @@ class Searcher {
     }
     for (size_t i = 0; i < pending.size(); ++i) {
       const PendingJoin& c = pending[i];
+      auto describe = [&] {
+        return "join(" + MaskLabel(c.left_mask) + "@" +
+               sites_[static_cast<size_t>(c.left_site)] + ", " +
+               MaskLabel(c.right_mask) + "@" +
+               sites_[static_cast<size_t>(c.right_site)] + ") at " +
+               sites_[static_cast<size_t>(c.host)];
+      };
       if (!results[i].ok()) {
-        ISPHERE_RETURN_NOT_OK(RecordFailure(
-            results[i].status(), QueryPlanNode::Kind::kJoin, c.mask, c.host,
-            /*via=*/"", c.description, root));
+        ISPHERE_RETURN_NOT_OK(RecordFailure(results[i].status(),
+                                            QueryPlanNode::Kind::kJoin, c.mask,
+                                            c.host, /*via=*/-1, describe,
+                                            root));
         continue;
       }
       // Accumulation order is part of the wrapper bit-parity contract:
@@ -535,54 +606,58 @@ class Searcher {
       cost += c.transfer_right;
       QueryPlanNode node;
       node.kind = QueryPlanNode::Kind::kJoin;
-      node.system = c.host;
+      node.system = sites_[static_cast<size_t>(c.host)];
       node.relation_mask = c.mask;
       node.output_rows = requests[i].op.join.output_rows;
       node.output_row_bytes = requests[i].op.join.OutputRowBytes();
       node.transfer_seconds = c.transfer_left + c.transfer_right;
-      FillNodeProvenance(c.host, input_.master, results[i].value(), &node);
+      FillNodeProvenance(c.host == master_, std::move(results[i]).value(),
+                         &node);
       cost += node.operator_seconds;
       node.subtree_seconds = cost;
-      node.op = requests[i].op;
+      node.op = std::move(requests[i].op);
       node.children = {c.left_node, c.right_node};
-      plan_.nodes.push_back(std::move(node));
-      const int node_index = static_cast<int>(plan_.nodes.size()) - 1;
-      costed_counter_->Increment();
-      plan_.candidates_costed++;
-      EmitCandidateSpan(root, plan_.nodes.back());
+      const int node_index = AddCostedNode(std::move(node), root);
       Fold(c.mask, c.host, cost, node_index, QueryPlanNode::Kind::kJoin,
-           c.description);
+           describe);
     }
 
-    // Heuristic pruning between levels: entries far costlier than the
-    // cheapest same-subset entry cannot... actually can still win (a later
-    // join may avoid a transfer), so this is explicitly a heuristic; it is
-    // off by default and never applied to the final subset.
-    if (options_.prune_factor >= 1.0 &&
-        level < static_cast<int>(relations_.size())) {
+    // Heuristic pruning between levels: an entry far costlier than its
+    // subset's cheapest entry can still win later (a parent join placed on
+    // its site may avoid a transfer), so dropping it trades optimality for
+    // a smaller search. Off by default, and never applied to the final
+    // subset.
+    if (options_.prune_factor >= 1.0 && level < static_cast<int>(n)) {
       for (uint64_t mask = 1; mask < limit; ++mask) {
-        if (std::popcount(mask) != level || dp_[mask].empty()) continue;
-        double cheapest = dp_[mask].begin()->second.cost;
-        for (const auto& [site, entry] : dp_[mask]) {
-          cheapest = std::min(cheapest, entry.cost);
+        if (std::popcount(mask) != level) continue;
+        bool any = false;
+        double cheapest = 0.0;
+        for (int site = 0; site < num_sites; ++site) {
+          const DpEntry& entry = Entry(mask, site);
+          if (entry.node < 0) continue;
+          cheapest = any ? std::min(cheapest, entry.cost) : entry.cost;
+          any = true;
         }
-        for (auto it = dp_[mask].begin(); it != dp_[mask].end();) {
-          if (it->second.cost > options_.prune_factor * cheapest) {
-            PrunedSubplan pruned;
-            pruned.kind = PrunedSubplan::Kind::kPruned;
-            pruned.stage = QueryPlanNode::Kind::kJoin;
-            pruned.relation_mask = mask;
-            pruned.system = it->first;
-            pruned.subtree_seconds = it->second.cost;
-            pruned.reason =
-                "cost exceeds prune_factor x the cheapest same-subset entry";
-            pruned.description =
-                MaskLabel(mask) + "@" + it->first + " (prune_factor)";
-            plan_.pruned.push_back(std::move(pruned));
-            it = dp_[mask].erase(it);
-          } else {
-            ++it;
+        if (!any) continue;
+        for (int site = 0; site < num_sites; ++site) {
+          DpEntry& entry = Entry(mask, site);
+          if (entry.node < 0 ||
+              entry.cost <= options_.prune_factor * cheapest) {
+            continue;
           }
+          const std::string& site_name = sites_[static_cast<size_t>(site)];
+          PrunedSubplan pruned;
+          pruned.kind = PrunedSubplan::Kind::kPruned;
+          pruned.stage = QueryPlanNode::Kind::kJoin;
+          pruned.relation_mask = mask;
+          pruned.system = site_name;
+          pruned.subtree_seconds = entry.cost;
+          pruned.reason =
+              "cost exceeds prune_factor x the cheapest same-subset entry";
+          pruned.description =
+              MaskLabel(mask) + "@" + site_name + " (prune_factor)";
+          plan_.pruned.push_back(std::move(pruned));
+          entry = DpEntry{};
         }
       }
     }
@@ -595,15 +670,19 @@ class Searcher {
   Status FinishCandidates(TraceSpan* root) {
     const QuerySpec& spec = *input_.spec;
     const uint64_t full = (uint64_t{1} << relations_.size()) - 1;
+    const int num_sites = NumSites();
 
     if (!spec.aggregate.has_value()) {
-      for (const auto& [site, entry] : dp_[full]) {
+      for (int site = 0; site < num_sites; ++site) {
+        const DpEntry entry = Entry(full, site);
+        if (entry.node < 0) continue;
         double result_transfer = 0.0;
-        if (spec.result_to_master && site != input_.master) {
+        if (spec.result_to_master && site != master_) {
           ISPHERE_ASSIGN_OR_RETURN(MaskStats stats, StatsFor(full));
           ISPHERE_ASSIGN_OR_RETURN(
-              result_transfer, input_.transfer(site, input_.master,
-                                               stats.rows, stats.width));
+              result_transfer,
+              input_.transfer(sites_[static_cast<size_t>(site)],
+                              input_.master, stats.rows, stats.width));
         }
         plan_.candidates.push_back(
             {entry.node, result_transfer, entry.cost + result_transfer});
@@ -636,25 +715,28 @@ class Searcher {
     ISPHERE_RETURN_NOT_OK(op.Validate());
 
     struct PendingAgg {
-      std::string join_site;
-      std::string host;
+      int join_site;
+      int host;
       double input_cost;
       double transfer;
       int input_node;
     };
     std::vector<PlanCostRequest> requests;
     std::vector<PendingAgg> pending;
-    for (const auto& [site, entry] : dp_[full]) {
+    for (int site = 0; site < num_sites; ++site) {
+      const DpEntry entry = Entry(full, site);
+      if (entry.node < 0) continue;
       // The aggregation runs where the intermediate lies, or on the master.
-      const std::set<std::string> hosts = {site, input_.master};
-      for (const std::string& host : hosts) {
+      for (int host : HostSet(site, master_)) {
         double transfer = 0.0;
         if (host != site) {
           ISPHERE_ASSIGN_OR_RETURN(
-              transfer, input_.transfer(site, host, in_stats.rows,
-                                        in_stats.width));
+              transfer,
+              input_.transfer(sites_[static_cast<size_t>(site)],
+                              sites_[static_cast<size_t>(host)],
+                              in_stats.rows, in_stats.width));
         }
-        requests.push_back({host, op});
+        requests.push_back({sites_[static_cast<size_t>(host)], op});
         pending.push_back({site, host, entry.cost, transfer, entry.node});
       }
     }
@@ -664,42 +746,44 @@ class Searcher {
       if (results.size() != requests.size()) {
         return Status::Internal("batched costing returned a short batch");
       }
-      for (size_t i = 0; i < pending.size(); ++i) {
+        for (size_t i = 0; i < pending.size(); ++i) {
         const PendingAgg& c = pending[i];
-        const std::string description = "aggregate after " + MaskLabel(full) +
-                                        "@" + c.join_site + " at " + c.host;
+        const std::string& host_name = sites_[static_cast<size_t>(c.host)];
         if (!results[i].ok()) {
           ISPHERE_RETURN_NOT_OK(RecordFailure(
               results[i].status(), QueryPlanNode::Kind::kAggregate, full,
-              c.host, /*via=*/c.join_site, description, root));
+              c.host, /*via=*/c.join_site,
+              [&] {
+                return "aggregate after " + MaskLabel(full) + "@" +
+                       sites_[static_cast<size_t>(c.join_site)] + " at " +
+                       host_name;
+              },
+              root));
           continue;
         }
         double result_transfer = 0.0;
-        if (spec.result_to_master && c.host != input_.master) {
+        if (spec.result_to_master && c.host != master_) {
           ISPHERE_ASSIGN_OR_RETURN(
               result_transfer,
-              input_.transfer(c.host, input_.master, groups,
+              input_.transfer(host_name, input_.master, groups,
                               q.output_row_bytes));
         }
         double cost = c.input_cost;
         cost += c.transfer;
         QueryPlanNode node;
         node.kind = QueryPlanNode::Kind::kAggregate;
-        node.system = c.host;
+        node.system = host_name;
         node.relation_mask = full;
         node.output_rows = groups;
         node.output_row_bytes = q.output_row_bytes;
         node.transfer_seconds = c.transfer;
-        FillNodeProvenance(c.host, input_.master, results[i].value(), &node);
+        FillNodeProvenance(c.host == master_, std::move(results[i]).value(),
+                           &node);
         cost += node.operator_seconds;
         node.subtree_seconds = cost;
-        node.op = requests[i].op;
+        node.op = std::move(requests[i].op);
         node.children = {c.input_node};
-        plan_.nodes.push_back(std::move(node));
-        const int node_index = static_cast<int>(plan_.nodes.size()) - 1;
-        costed_counter_->Increment();
-        plan_.candidates_costed++;
-        EmitCandidateSpan(root, plan_.nodes.back());
+        const int node_index = AddCostedNode(std::move(node), root);
         plan_.candidates.push_back(
             {node_index, result_transfer, cost + result_transfer});
       }
@@ -712,20 +796,21 @@ class Searcher {
   }
 
   /// Handles one failed costing result: elimination codes are recorded and
-  /// skipped, anything else aborts the search.
+  /// skipped, anything else aborts the search. `via` is the site id the
+  /// stage's input lived on, or -1; `describe` renders the label.
+  template <typename Describe>
   Status RecordFailure(const Status& status, QueryPlanNode::Kind stage,
-                       uint64_t mask, const std::string& host,
-                       const std::string& via, const std::string& description,
+                       uint64_t mask, int host, int via, Describe&& describe,
                        TraceSpan* root) {
     if (!IsEliminationCode(status.code())) return status;
     PrunedSubplan pruned;
     pruned.kind = PrunedSubplan::Kind::kEliminated;
     pruned.stage = stage;
     pruned.relation_mask = mask;
-    pruned.system = host;
-    pruned.via_system = via;
+    pruned.system = sites_[static_cast<size_t>(host)];
+    if (via >= 0) pruned.via_system = sites_[static_cast<size_t>(via)];
     pruned.reason = status.message();
-    pruned.description = description;
+    pruned.description = describe();
     EmitEliminatedSpan(root, pruned);
     plan_.pruned.push_back(std::move(pruned));
     dropped_counter_->Increment();
@@ -738,12 +823,16 @@ class Searcher {
   core::EstimateContext batch_ctx_;
   Counter* costed_counter_;
   Counter* dropped_counter_;
+  /// Interned sites: {master} and every relation's location, sorted by
+  /// name and deduplicated. A site's id is its index here.
+  std::vector<std::string> sites_;
+  int master_ = 0;
   std::vector<RelationInfo> relations_;
   std::vector<uint64_t> adjacency_;
-  /// dp_[mask][site]: cheapest way to have `mask`'s join result on `site`.
-  std::vector<std::map<std::string, DpEntry>> dp_;
+  std::vector<DpEntry> dp_;
   std::vector<MaskStats> mask_stats_;
   std::vector<char> mask_stats_ready_;
+  std::vector<std::string> mask_labels_;
   QueryPlan plan_;
 };
 

@@ -89,6 +89,20 @@ class DriftDirectionTest(unittest.TestCase):
             [metric("error", 0.5, "rel", better="lower")],
             [metric("error", 0.1, "rel", better="lower")])
 
+    def test_histogram_mean_marked_lower_is_better(self):
+        # bench_common.h AppendMetricsSnapshot marks runtime-histogram means
+        # (unit "mean") lower-is-better; unmarked they read as higher.
+        self.assert_warns(
+            [metric("estimate.latency_us.mean", 10.0, "mean",
+                    better="lower")],
+            [metric("estimate.latency_us.mean", 20.0, "mean",
+                    better="lower")], "estimate.latency_us.mean")
+        self.assert_quiet(
+            [metric("estimate.latency_us.mean", 20.0, "mean",
+                    better="lower")],
+            [metric("estimate.latency_us.mean", 10.0, "mean",
+                    better="lower")])
+
     def test_hard_floor_still_fails(self):
         code, err = self.run_check(
             [], [metric("speedup", 2.0, "x", baseline=5.0)])

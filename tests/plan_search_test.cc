@@ -8,10 +8,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -719,6 +724,355 @@ TEST(PlanSearchTest, ExplainRendersTreeAndJson) {
   EXPECT_NE(ex.json.find("\"query_plan\""), std::string::npos);
   EXPECT_NE(ex.json.find("\"tree\""), std::string::npos);
   EXPECT_NE(ex.json.find("\"pruned\""), std::string::npos);
+}
+
+// --- Golden plan identity ---------------------------------------------------
+//
+// Seeded chain/star/cycle specs of 3-6 relations over three sites, planned
+// with fake hooks whose estimates carry every provenance field and whose
+// costing rejects some (system, operator) pairs. Every QueryPlan field is
+// serialized (doubles as %a) and compared with tests/plan_search_golden.txt,
+// so any change to node order, candidate order, pruned entries or their
+// labels fails here. On a mismatch the fresh rendering is written to
+// plan_search_golden.actual.txt in the working directory.
+
+/// splitmix64: a portable seeded stream (std distributions are not).
+class GoldenRng {
+ public:
+  explicit GoldenRng(uint64_t seed) : state_(seed) {}
+  uint64_t Next() {
+    uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
+  int64_t Range(int64_t lo, int64_t hi) {
+    return lo + static_cast<int64_t>(Next() %
+                                     static_cast<uint64_t>(hi - lo + 1));
+  }
+
+ private:
+  uint64_t state_;
+};
+
+// The master sorts between the two remotes, so name order is not
+// registration order.
+constexpr char kGoldenMaster[] = "mid";
+const char* const kGoldenRemotes[] = {"alpha", "zeta"};
+
+uint64_t OperatorHash(const std::string& system, const rel::SqlOperator& op) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  for (char c : system) mix(static_cast<unsigned char>(c));
+  mix(static_cast<uint64_t>(op.type));
+  mix(static_cast<uint64_t>(op.join.left.num_rows));
+  mix(static_cast<uint64_t>(op.join.right.num_rows));
+  mix(static_cast<uint64_t>(op.join.output_rows));
+  mix(static_cast<uint64_t>(op.agg.input.num_rows));
+  mix(static_cast<uint64_t>(op.scan.output_rows));
+  return h;
+}
+
+Result<core::HybridEstimate> GoldenCostOne(const std::string& system,
+                                           const rel::SqlOperator& op) {
+  const uint64_t h = OperatorHash(system, op);
+  if (system == "zeta" && op.type == rel::OperatorType::kAggregation) {
+    return Status::Unsupported("zeta cannot aggregate");
+  }
+  if (system == "alpha" && op.type == rel::OperatorType::kJoin &&
+      h % 5 == 0) {
+    return Status::FailedPrecondition(
+        "alpha: join output " + std::to_string(op.join.output_rows) +
+        " rows exceeds its memory limit");
+  }
+  if (system != kGoldenMaster && h % 11 == 0) {
+    return Status::Unsupported(system + " rejects operator " +
+                               std::to_string(h % 1000));
+  }
+  Result<core::HybridEstimate> base = SynthCostOne("td", op);
+  core::HybridEstimate est = base.value();
+  est.seconds *= system == kGoldenMaster ? 1.0
+                 : system == "alpha"     ? 0.55
+                                         : 0.7;
+  est.seconds += static_cast<double>(h % 97) * 1e-4;
+  if (system == kGoldenMaster) return est;
+  est.approach_used = h % 2 == 0 ? core::CostingApproach::kSubOp
+                                 : core::CostingApproach::kLogicalOp;
+  if (est.approach_used == core::CostingApproach::kSubOp) {
+    est.algorithm = h % 3 == 0 ? "bcast" : "shuffle";
+    est.candidates = {{est.algorithm, est.seconds},
+                      {"smj", est.seconds * 1.25}};
+    est.eliminated = {{"skew", "hot " + std::to_string(h % 13)}};
+    est.eliminated_count = 1;
+  } else {
+    est.used_remedy = h % 4 == 1;
+    est.remedy_alpha = est.used_remedy ? 0.25 + 0.01 * (h % 50) : 1.0;
+  }
+  if (h % 7 == 3) est.fell_back_reason = "breaker_open:sub_op";
+  return est;
+}
+
+PlanSearchInput GoldenInput(const QuerySpec& spec,
+                            const std::vector<rel::TableDef>& tables) {
+  PlanSearchInput input;
+  input.spec = &spec;
+  input.tables = tables;
+  input.master = kGoldenMaster;
+  input.cost = [](const std::vector<PlanCostRequest>& requests,
+                  const core::EstimateContext&) {
+    std::vector<Result<core::HybridEstimate>> results;
+    results.reserve(requests.size());
+    for (const PlanCostRequest& r : requests) {
+      results.push_back(GoldenCostOne(r.system, r.op));
+    }
+    return results;
+  };
+  input.transfer = [](const std::string& from, const std::string& to,
+                      int64_t rows, int64_t bytes) -> Result<double> {
+    // Asymmetric links: the direction of a relay matters.
+    const double link = from < to ? 1.0 : 1.3;
+    return link * SynthTransfer(from, to, rows, bytes);
+  };
+  return input;
+}
+
+enum class GoldenShape { kChain, kStar, kCycle };
+
+struct GoldenCase {
+  GoldenShape shape;
+  int relations;
+  bool filters;
+  bool aggregate;
+  bool result_to_master;
+  double prune_factor;
+};
+
+std::string GoldenCaseName(const GoldenCase& c) {
+  static const char* const kShapes[] = {"chain", "star", "cycle"};
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "%s%d filters=%d aggregate=%d result_to_master=%d prune=%g",
+                kShapes[static_cast<int>(c.shape)], c.relations, c.filters,
+                c.aggregate, c.result_to_master, c.prune_factor);
+  return buf;
+}
+
+void BuildGoldenCase(const GoldenCase& c, uint64_t seed, QuerySpec* spec,
+                     std::vector<rel::TableDef>* tables) {
+  GoldenRng rng(seed);
+  static const char* const kColumns[] = {"a1", "a2", "a5", "a10", "a100"};
+  for (int i = 0; i < c.relations; ++i) {
+    rel::TableDef t =
+        rel::SyntheticTableDef(rng.Range(2, 400) * 25000, rng.Range(4, 30) * 10)
+            .value();
+    t.name = "r" + std::to_string(i);
+    const int64_t where = rng.Range(0, 2);
+    t.location = where == 0 ? kGoldenMaster : kGoldenRemotes[where - 1];
+    QuerySpec::Relation r;
+    r.table = t.name;
+    r.projected_bytes = rng.Range(0, 3) == 0 ? kFullRowWidth
+                                             : rng.Range(1, 12) * 4;
+    if (c.filters && rng.Range(0, 1) == 0) {
+      r.filter_selectivity = static_cast<double>(rng.Range(1, 99)) / 100.0;
+    }
+    spec->relations.push_back(r);
+    tables->push_back(std::move(t));
+  }
+  auto edge = [&](int l, int r) {
+    QuerySpec::JoinPredicate p;
+    p.left = l;
+    p.right = r;
+    p.column = kColumns[rng.Range(0, 4)];
+    p.extra_selectivity =
+        rng.Range(0, 2) == 0 ? static_cast<double>(rng.Range(1, 9)) / 10.0
+                             : 1.0;
+    spec->joins.push_back(p);
+  };
+  const int hub = static_cast<int>(rng.Range(0, c.relations - 1));
+  for (int i = 1; i < c.relations; ++i) {
+    if (c.shape == GoldenShape::kStar) {
+      edge(hub, i == hub ? 0 : i);
+    } else {
+      edge(i - 1, i);
+    }
+  }
+  if (c.shape == GoldenShape::kCycle) edge(c.relations - 1, 0);
+  if (c.aggregate) {
+    spec->aggregate = QuerySpec::Aggregate{
+        static_cast<int>(rng.Range(0, c.relations - 1)),
+        kColumns[rng.Range(0, 4)], static_cast<int>(rng.Range(1, 4))};
+  }
+  spec->result_to_master = c.result_to_master;
+}
+
+void AppendF(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+void AppendF(std::string* out, const char* fmt, ...) {
+  va_list args, sized;
+  va_start(args, fmt);
+  va_copy(sized, args);
+  const int len = std::vsnprintf(nullptr, 0, fmt, sized);
+  va_end(sized);
+  const size_t at = out->size();
+  out->resize(at + static_cast<size_t>(len) + 1);
+  std::vsnprintf(out->data() + at, static_cast<size_t>(len) + 1, fmt, args);
+  va_end(args);
+  out->pop_back();  // the terminating NUL
+}
+
+std::string RenderOperator(const rel::SqlOperator& op) {
+  const rel::JoinQuery& j = op.join;
+  const rel::AggQuery& a = op.agg;
+  const rel::ScanQuery& s = op.scan;
+  std::string out;
+  AppendF(&out,
+          "type=%d join=%lld,%lld/%lld,%lld,proj=%lld,%lld,out=%lld,equi=%d,"
+          "bucketed=%d,%d,hot=%a",
+          static_cast<int>(op.type), static_cast<long long>(j.left.num_rows),
+          static_cast<long long>(j.left.row_bytes),
+          static_cast<long long>(j.right.num_rows),
+          static_cast<long long>(j.right.row_bytes),
+          static_cast<long long>(j.left_projected_bytes),
+          static_cast<long long>(j.right_projected_bytes),
+          static_cast<long long>(j.output_rows), j.is_equi_join,
+          j.left_bucketed_on_key, j.right_bucketed_on_key, j.hot_key_fraction);
+  AppendF(&out,
+          " agg=%lld,%lld,out=%lld,%lld,n=%d scan=%lld,%lld,sel=%a,proj=%lld,"
+          "out=%lld",
+          static_cast<long long>(a.input.num_rows),
+          static_cast<long long>(a.input.row_bytes),
+          static_cast<long long>(a.output_rows),
+          static_cast<long long>(a.output_row_bytes), a.num_aggregates,
+          static_cast<long long>(s.input.num_rows),
+          static_cast<long long>(s.input.row_bytes), s.selectivity,
+          static_cast<long long>(s.projected_bytes),
+          static_cast<long long>(s.output_rows));
+  return out;
+}
+
+/// One line per node, candidate and pruned entry. Operators are shared by
+/// every placement of a split, so nodes name them by index into a per-plan
+/// table that follows the nodes.
+std::string SerializePlan(const QueryPlan& plan) {
+  std::string out;
+  std::map<std::string, size_t> op_ids;
+  std::vector<const std::string*> ops;
+  for (size_t i = 0; i < plan.nodes.size(); ++i) {
+    const QueryPlanNode& n = plan.nodes[i];
+    AppendF(&out,
+            " n%zu k=%d %s label=%s m=%llx rows=%lld bytes=%lld t=%a o=%a "
+            "c=%a",
+            i, static_cast<int>(n.kind), n.system.c_str(), n.label.c_str(),
+            static_cast<unsigned long long>(n.relation_mask),
+            static_cast<long long>(n.output_rows),
+            static_cast<long long>(n.output_row_bytes), n.transfer_seconds,
+            n.operator_seconds, n.subtree_seconds);
+    AppendF(&out, " approach=%s alg=%s remedy=%d,%a fell_back=%s ch=",
+            n.approach.c_str(), n.algorithm.c_str(), n.used_remedy,
+            n.remedy_alpha, n.fell_back_reason.c_str());
+    for (int child : n.children) AppendF(&out, "%d,", child);
+    out += " cand=";
+    for (const core::AlgorithmEstimate& c : n.algorithm_candidates) {
+      AppendF(&out, "%s:%a;", c.algorithm.c_str(), c.seconds);
+    }
+    out += " elim=";
+    for (const core::EliminatedAlgorithm& e : n.eliminated_algorithms) {
+      AppendF(&out, "%s:%s;", e.algorithm.c_str(), e.reason.c_str());
+    }
+    auto [it, added] = op_ids.emplace(RenderOperator(n.op), ops.size());
+    if (added) ops.push_back(&it->first);
+    AppendF(&out, " op=%zu\n", it->second);
+  }
+  for (size_t i = 0; i < ops.size(); ++i) {
+    AppendF(&out, " op%zu %s\n", i, ops[i]->c_str());
+  }
+  for (const QueryPlanCandidate& c : plan.candidates) {
+    AppendF(&out, " candidate root=%d relay=%a total=%a\n", c.root,
+            c.result_transfer_seconds, c.total_seconds);
+  }
+  for (const PrunedSubplan& p : plan.pruned) {
+    AppendF(&out, " pruned kind=%d stage=%d m=%llx %s via=%s c=%a [%s] %s\n",
+            static_cast<int>(p.kind), static_cast<int>(p.stage),
+            static_cast<unsigned long long>(p.relation_mask),
+            p.system.c_str(), p.via_system.c_str(), p.subtree_seconds,
+            p.reason.c_str(), p.description.c_str());
+  }
+  AppendF(&out, " candidates_costed=%lld dp_entries=%lld\n",
+          static_cast<long long>(plan.candidates_costed),
+          static_cast<long long>(plan.dp_entries));
+  return out;
+}
+
+std::string RenderGoldenPlans() {
+  std::string out;
+  uint64_t seed = 2020;
+  for (GoldenShape shape :
+       {GoldenShape::kChain, GoldenShape::kStar, GoldenShape::kCycle}) {
+    for (int n = 3; n <= 6; ++n) {
+      // Two complementary variants per shape and size, rotated with the
+      // size, cover every flag value on every shape.
+      const bool odd = n % 2 == 1;
+      const GoldenCase cases[] = {
+          {shape, n, true, odd, !odd, 1.5},
+          {shape, n, false, !odd, odd, 0.0},
+      };
+      for (const GoldenCase& c : cases) {
+        QuerySpec spec;
+        std::vector<rel::TableDef> tables;
+        BuildGoldenCase(c, ++seed, &spec, &tables);
+        PlannerOptions options;
+        options.prune_factor = c.prune_factor;
+        Result<QueryPlan> plan =
+            SearchPlan(GoldenInput(spec, tables), options, {});
+        AppendF(&out, "plan %s seed=%llu\n", GoldenCaseName(c).c_str(),
+                static_cast<unsigned long long>(seed));
+        if (!plan.ok()) {
+          AppendF(&out, " error %s\n", plan.status().ToString().c_str());
+          continue;
+        }
+        out += SerializePlan(plan.value());
+      }
+    }
+  }
+  return out;
+}
+
+TEST(PlanSearchGoldenTest, PlansMatchGoldenFieldForField) {
+  const std::string actual = RenderGoldenPlans();
+  // The fixture must exercise every recorded path.
+  for (const char* needle :
+       {"pruned kind=0 stage=1", "pruned kind=0 stage=2",
+        "pruned kind=0 stage=3", "pruned kind=1", "pruned kind=2",
+        "remedy=1", "fell_back=breaker_open", "relay=0x1"}) {
+    EXPECT_NE(actual.find(needle), std::string::npos) << needle;
+  }
+  const std::string path =
+      std::string(ISPHERE_TESTS_DIR) + "/plan_search_golden.txt";
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream golden;
+  golden << in.rdbuf();
+  if (golden.str() == actual) return;
+  std::ofstream("plan_search_golden.actual.txt", std::ios::binary) << actual;
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::istringstream want(golden.str()), got(actual);
+  std::string want_line, got_line;
+  int line = 0;
+  while (true) {
+    ++line;
+    const bool more_want = static_cast<bool>(std::getline(want, want_line));
+    const bool more_got = static_cast<bool>(std::getline(got, got_line));
+    if (!more_want && !more_got) break;
+    if (!more_want || !more_got || want_line != got_line) {
+      ADD_FAILURE() << "golden mismatch at line " << line << "\n  want: "
+                    << (more_want ? want_line : "<eof>")
+                    << "\n  got:  " << (more_got ? got_line : "<eof>")
+                    << "\n(full rendering in plan_search_golden.actual.txt)";
+      break;
+    }
+  }
 }
 
 // --- PlanQuery on the real facade ------------------------------------------

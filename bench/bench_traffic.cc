@@ -120,13 +120,15 @@ std::vector<traffic::WorkItem> Items() {
   };
 }
 
-/// All option totals of a plan, in option order, for bit-comparison.
+/// Every candidate's (root system, total) of a plan, cheapest first, for
+/// bit-comparison.
 std::vector<std::pair<std::string, double>> OptionTotals(
-    const fed::PlacementPlan& plan) {
+    const fed::QueryPlan& plan) {
   std::vector<std::pair<std::string, double>> totals;
-  totals.reserve(plan.options.size());
-  for (const auto& option : plan.options) {
-    totals.emplace_back(option.system, option.total_seconds());
+  totals.reserve(plan.candidates.size());
+  for (const fed::QueryPlanCandidate& c : plan.candidates) {
+    totals.emplace_back(plan.nodes[static_cast<size_t>(c.root)].system,
+                        c.total_seconds);
   }
   return totals;
 }
@@ -204,11 +206,16 @@ int main() {
 
   // --- identity: admitted-at-zero-load planning is bit-identical --------
   bench::Section("admission transparency at zero load");
+  std::vector<fed::QuerySpec> specs;
   std::vector<std::vector<std::pair<std::string, double>>> direct;
   for (const auto& item : items) {
-    direct.push_back(OptionTotals(Unwrap(
-        sphere.PlanAgg(item.table, item.group_column, item.num_aggregates),
-        "direct plan")));
+    fed::QuerySpec spec;
+    spec.relations = {{item.table, 1.0, fed::kFullRowWidth}};
+    spec.aggregate = fed::QuerySpec::Aggregate{0, item.group_column,
+                                               item.num_aggregates};
+    direct.push_back(
+        OptionTotals(Unwrap(sphere.PlanQuery(spec), "direct plan")));
+    specs.push_back(std::move(spec));
   }
   serving::AdmissionController identity_admission(&service);
   Check(sphere.AttachAdmissionController(&identity_admission),
@@ -220,10 +227,8 @@ int main() {
     // requests, so every decision is kServe.
     ctx.now = 1000.0 + 100.0 * static_cast<double>(i);
     ctx.tenant = "identity";
-    const auto admitted = OptionTotals(
-        Unwrap(sphere.PlanAgg(items[i].table, items[i].group_column,
-                              items[i].num_aggregates, ctx),
-               "admitted plan"));
+    const auto admitted =
+        OptionTotals(Unwrap(sphere.PlanQuery(specs[i], ctx), "admitted plan"));
     if (admitted != direct[i]) identical = false;
   }
   const serving::AdmissionStats identity_stats = identity_admission.Stats();

@@ -4,7 +4,8 @@
 // IntelliSphere::PlanQuery, and render the full search result — the
 // chosen plan tree with per-node placement and cost, every completed
 // alternative, and the subplans the search dropped (eliminated hosts,
-// dominated DP entries) — as a tree and as JSON.
+// dominated DP entries) — as a tree (what a DBA reads) and as JSON (what
+// tooling ingests), then list the trace spans the search emitted.
 //
 // Run from anywhere; writes EXPLAIN_query_plan.json to the working
 // directory. scripts/check.sh runs this binary and validates the JSON
@@ -12,6 +13,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <string>
 
 #include "core/sub_op.h"
 #include "federation/explain.h"
@@ -119,7 +122,20 @@ int main() {
   fed::PlacementExplanation ex = fed::ExplainQueryPlan(plan.value());
   std::printf("%s", ex.tree.c_str());
 
-  std::printf("\ntrace: search emitted %zu spans\n", sink.size());
+  // plan.candidate spans per engine: the placements costed or eliminated.
+  std::map<std::string, int> by_system;
+  for (const auto& span : sink.spans()) {
+    const auto* system = span.FindAttribute("system");
+    if (span.name == "plan.candidate" && system != nullptr) {
+      ++by_system[system->ValueToString()];
+    }
+  }
+  std::printf("\ntrace: search emitted %zu spans; plan.candidate by system:",
+              sink.size());
+  for (const auto& [system, count] : by_system) {
+    std::printf(" %s=%d", system.c_str(), count);
+  }
+  std::printf("\n");
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   const MetricSample* costed = snap.Find("plan.candidates_costed");
   if (costed != nullptr) {

@@ -105,22 +105,22 @@ int main() {
 
   // Plan the same join twice: the first pass fills the cache, the second
   // is served from it (identical plan, bit-identical costs).
+  fed::QuerySpec spec;
+  spec.relations = {{"T8000000_250", 1.0, 32}, {"T2000000_100", 1.0, 32}};
+  spec.joins = {{0, 1, "a1", 0.5}};
   for (int pass = 0; pass < 2; ++pass) {
-    auto plan = sphere.PlanJoin("T8000000_250", "T2000000_100", 32, 32, 0.5);
+    auto plan = sphere.PlanQuery(spec);
     if (!plan.ok()) {
       std::fprintf(stderr, "planning: %s\n",
                    plan.status().ToString().c_str());
       return 1;
     }
-    auto best = plan.value().best();
-    if (!best.ok()) {
-      std::fprintf(stderr, "empty plan\n");
-      return 1;
-    }
+    const fed::QueryPlanCandidate best = plan.value().best().value();
+    const fed::QueryPlanNode* root = plan.value().root().value();
     const serving::CacheStats stats = service.cache_stats();
     std::printf(
         "pass %d: placed on %s, %.3fs total; cache hits=%lld misses=%lld\n",
-        pass + 1, best.value().system.c_str(), best.value().total_seconds(),
+        pass + 1, root->system.c_str(), best.total_seconds,
         static_cast<long long>(stats.hits),
         static_cast<long long>(stats.misses));
   }

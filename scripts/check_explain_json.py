@@ -3,36 +3,20 @@
 
 Used by scripts/check.sh after running the EXPLAIN examples: the JSON
 renderings must stay machine-readable, so this checks structure and types,
-not specific cost numbers. The artifact kind is detected from the top-level
-keys — a "serving" object is an EstimationService::ExplainJson() document
-(examples/explain_serving), a "query_plan" object is an
+not specific cost numbers. The artifact kind is the document's single
+top-level key — a "serving" object is an EstimationService::ExplainJson()
+document (examples/explain_serving), a "query_plan" object is an
 ExplainQueryPlan() document (examples/explain_query_plan), a "lifecycle"
 object is a LifecycleManager::ExplainJson() document
 (examples/explain_lifecycle), an "admission" object is an
-AdmissionController::ExplainJson() document (examples/explain_admission),
-anything else is a placement plan (examples/explain_placement).
+AdmissionController::ExplainJson() document (examples/explain_admission).
+Any other top-level shape fails.
 
 Usage: check_explain_json.py <path-to-EXPLAIN_*.json>
 """
 
 import json
 import sys
-
-OPTION_FIELDS = {
-    "rank": int,
-    "system": str,
-    "transfer_seconds": (int, float),
-    "operator_seconds": (int, float),
-    "total_seconds": (int, float),
-    "approach": str,
-    "algorithm": str,
-    "used_remedy": bool,
-    "remedy_alpha": (int, float),
-    "fell_back_reason": str,
-    "algorithm_candidates": list,
-    "eliminated_algorithms": list,
-}
-
 
 def fail(msg):
     print(f"check_explain_json: FAIL: {msg}", file=sys.stderr)
@@ -48,6 +32,15 @@ def check_type(obj, field, expected, where):
         fail(f"{where}: field '{field}' must not be a bool")
     if not isinstance(value, expected):
         fail(f"{where}: field '{field}' has type {type(value).__name__}")
+
+
+def check_object(obj, fields, where):
+    """Fails unless `obj` is an object carrying every field of `fields`
+    (name -> expected type)."""
+    if not isinstance(obj, dict):
+        fail(f"{where}: must be an object")
+    for field, expected in fields.items():
+        check_type(obj, field, expected, where)
 
 
 SERVING_CACHE_FIELDS = {
@@ -67,19 +60,14 @@ SERVING_CACHE_FIELDS = {
 
 def check_serving(doc):
     serving = doc["serving"]
-    if not isinstance(serving, dict):
-        fail("serving: must be an object")
-    check_type(serving, "model_epoch", int, "serving")
-    check_type(serving, "jobs", int, "serving")
-    check_type(serving, "cache", dict, "serving")
+    check_object(serving, {"model_epoch": int, "jobs": int, "cache": dict,
+                           "health": dict}, "serving")
     cache = serving["cache"]
-    for field, expected in SERVING_CACHE_FIELDS.items():
-        check_type(cache, field, expected, "serving.cache")
+    check_object(cache, SERVING_CACHE_FIELDS, "serving.cache")
     for field in ("shards", "capacity", "entries", "hits", "misses",
                   "evictions", "stale_epoch", "stale_served"):
         if cache[field] < 0:
             fail(f"serving.cache.{field} must be >= 0")
-    check_type(serving, "health", dict, "serving")
     health = serving["health"]
     for field in ("tracked", "open"):
         check_type(health, field, int, "serving.health")
@@ -142,9 +130,7 @@ LIFECYCLE_DETECTOR_FIELDS = {
 
 def check_lifecycle(doc):
     lc = doc["lifecycle"]
-    if not isinstance(lc, dict):
-        fail("lifecycle: must be an object")
-    check_type(lc, "epoch", int, "lifecycle")
+    check_object(lc, {"epoch": int}, "lifecycle")
     if lc["epoch"] < 0:
         fail("lifecycle.epoch must be >= 0")
     for section, fields in (("ingest", LIFECYCLE_INGEST_FIELDS),
@@ -176,10 +162,7 @@ def check_lifecycle(doc):
     check_type(lc, "detectors", list, "lifecycle")
     for i, det in enumerate(lc["detectors"]):
         where = f"lifecycle.detectors[{i}]"
-        if not isinstance(det, dict):
-            fail(f"{where}: must be an object")
-        for field, expected in LIFECYCLE_DETECTOR_FIELDS.items():
-            check_type(det, field, expected, where)
+        check_object(det, LIFECYCLE_DETECTOR_FIELDS, where)
         if not 0.0 <= det["out_of_range_fraction"] <= 1.0:
             fail(f"{where}: out_of_range_fraction must be in [0, 1]")
         if det["window_size"] < 0 or det["accepted"] < det["window_size"]:
@@ -213,10 +196,7 @@ ADMISSION_COUNTER_FIELDS = (
 
 def check_admission(doc):
     adm = doc["admission"]
-    if not isinstance(adm, dict):
-        fail("admission: must be an object")
-    for field, expected in ADMISSION_FIELDS.items():
-        check_type(adm, field, expected, "admission")
+    check_object(adm, ADMISSION_FIELDS, "admission")
     counters = adm["counters"]
     for field in ADMISSION_COUNTER_FIELDS:
         check_type(counters, field, int, "admission.counters")
@@ -256,7 +236,10 @@ QUERY_NODE_FIELDS = {
     "approach": str,
     "algorithm": str,
     "used_remedy": bool,
+    "remedy_alpha": (int, float),
     "fell_back_reason": str,
+    "algorithm_candidates": list,
+    "eliminated_algorithms": list,
     "children": list,
 }
 
@@ -282,28 +265,31 @@ QUERY_PRUNED_FIELDS = {
 
 QUERY_PRUNED_KINDS = {"eliminated", "dominated", "pruned"}
 
+ALGORITHM_CANDIDATE_FIELDS = {"algorithm": str, "seconds": (int, float)}
+
+ELIMINATED_ALGORITHM_FIELDS = {"algorithm": str, "reason": str}
+
 
 def check_query_node(node, where):
-    if not isinstance(node, dict):
-        fail(f"{where}: must be an object")
-    for field, expected in QUERY_NODE_FIELDS.items():
-        check_type(node, field, expected, where)
+    check_object(node, QUERY_NODE_FIELDS, where)
     if node["kind"] not in QUERY_NODE_KINDS:
         fail(f"{where}: unknown node kind '{node['kind']}'")
     if node["relation_mask"] <= 0:
         fail(f"{where}: relation_mask must cover at least one relation")
+    for j, cand in enumerate(node["algorithm_candidates"]):
+        check_object(cand, ALGORITHM_CANDIDATE_FIELDS,
+                     f"{where}.algorithm_candidates[{j}]")
+    for j, elim in enumerate(node["eliminated_algorithms"]):
+        check_object(elim, ELIMINATED_ALGORITHM_FIELDS,
+                     f"{where}.eliminated_algorithms[{j}]")
     for i, child in enumerate(node["children"]):
         check_query_node(child, f"{where}.children[{i}]")
 
 
 def check_query_plan(doc):
     plan = doc["query_plan"]
-    if not isinstance(plan, dict):
-        fail("query_plan: must be an object")
-    check_type(plan, "candidates_costed", int, "query_plan")
-    check_type(plan, "dp_entries", int, "query_plan")
-    check_type(plan, "candidates", list, "query_plan")
-    check_type(plan, "pruned", list, "query_plan")
+    check_object(plan, {"candidates_costed": int, "dp_entries": int,
+                        "candidates": list, "pruned": list}, "query_plan")
     for field in ("candidates_costed", "dp_entries"):
         if plan[field] < 0:
             fail(f"query_plan.{field} must be >= 0")
@@ -323,10 +309,7 @@ def check_query_plan(doc):
     totals = []
     for i, cand in enumerate(plan["candidates"]):
         where = f"query_plan.candidates[{i}]"
-        if not isinstance(cand, dict):
-            fail(f"{where}: must be an object")
-        for field, expected in QUERY_CANDIDATE_FIELDS.items():
-            check_type(cand, field, expected, where)
+        check_object(cand, QUERY_CANDIDATE_FIELDS, where)
         if cand["rank"] != i + 1:
             fail(f"{where}: rank {cand['rank']} != {i + 1}")
         totals.append(cand["total_seconds"])
@@ -337,10 +320,7 @@ def check_query_plan(doc):
 
     for i, pruned in enumerate(plan["pruned"]):
         where = f"query_plan.pruned[{i}]"
-        if not isinstance(pruned, dict):
-            fail(f"{where}: must be an object")
-        for field, expected in QUERY_PRUNED_FIELDS.items():
-            check_type(pruned, field, expected, where)
+        check_object(pruned, QUERY_PRUNED_FIELDS, where)
         if pruned["kind"] not in QUERY_PRUNED_KINDS:
             fail(f"{where}: unknown pruned kind '{pruned['kind']}'")
         if pruned["stage"] not in QUERY_NODE_KINDS:
@@ -361,58 +341,18 @@ def main():
     except (OSError, json.JSONDecodeError) as e:
         fail(f"cannot parse {sys.argv[1]}: {e}")
 
-    if not isinstance(doc, dict):
-        fail("top level must be an object")
-    if "serving" in doc:
-        check_serving(doc)
-        return
-    if "query_plan" in doc:
-        check_query_plan(doc)
-        return
-    if "lifecycle" in doc:
-        check_lifecycle(doc)
-        return
-    if "admission" in doc:
-        check_admission(doc)
-        return
-    check_type(doc, "operator", str, "top level")
-    check_type(doc, "options", list, "top level")
-    check_type(doc, "eliminated_placements", list, "top level")
-    if not doc["options"]:
-        fail("options must be non-empty")
-
-    totals = []
-    for i, opt in enumerate(doc["options"]):
-        where = f"options[{i}]"
-        if not isinstance(opt, dict):
-            fail(f"{where}: must be an object")
-        for field, expected in OPTION_FIELDS.items():
-            check_type(opt, field, expected, where)
-        if opt["rank"] != i + 1:
-            fail(f"{where}: rank {opt['rank']} != {i + 1}")
-        if abs(opt["transfer_seconds"] + opt["operator_seconds"]
-               - opt["total_seconds"]) > 1e-3 * max(1.0, opt["total_seconds"]):
-            fail(f"{where}: total_seconds is not transfer + operator")
-        totals.append(opt["total_seconds"])
-        for j, cand in enumerate(opt["algorithm_candidates"]):
-            cwhere = f"{where}.algorithm_candidates[{j}]"
-            check_type(cand, "algorithm", str, cwhere)
-            check_type(cand, "seconds", (int, float), cwhere)
-        for j, elim in enumerate(opt["eliminated_algorithms"]):
-            ewhere = f"{where}.eliminated_algorithms[{j}]"
-            check_type(elim, "algorithm", str, ewhere)
-            check_type(elim, "reason", str, ewhere)
-
-    if totals != sorted(totals):
-        fail("options are not sorted cheapest-first")
-
-    for i, elim in enumerate(doc["eliminated_placements"]):
-        where = f"eliminated_placements[{i}]"
-        check_type(elim, "system", str, where)
-        check_type(elim, "reason", str, where)
-
-    print(f"check_explain_json: OK ({len(doc['options'])} options, "
-          f"{len(doc['eliminated_placements'])} eliminated)")
+    if not isinstance(doc, dict) or len(doc) != 1:
+        fail("top level must be an object with exactly one key")
+    kind = next(iter(doc))
+    checkers = {
+        "serving": check_serving,
+        "query_plan": check_query_plan,
+        "lifecycle": check_lifecycle,
+        "admission": check_admission,
+    }
+    if kind not in checkers:
+        fail(f"unknown document kind '{kind}'")
+    checkers[kind](doc)
 
 
 if __name__ == "__main__":

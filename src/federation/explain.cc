@@ -20,89 +20,17 @@ void TreeLine(std::string* out, const std::string& prefix, bool last,
   *out += prefix + (last ? "`- " : "|- ") + text + "\n";
 }
 
-/// Renders one option's sub-lines (algorithm candidates, eliminations,
-/// remedy) under the option's own line.
-void RenderOptionDetails(std::string* out, const std::string& prefix,
-                         const PlacementOption& o) {
-  std::vector<std::string> lines;
-  for (const auto& c : o.algorithm_candidates) {
-    lines.push_back("candidate " + c.algorithm + ": " + Sec(c.seconds) + "s");
-  }
-  for (const auto& e : o.eliminated_algorithms) {
-    lines.push_back("eliminated " + e.algorithm + ": " + e.reason);
-  }
-  if (o.used_remedy) {
-    lines.push_back("online remedy: alpha=" + Sec(o.remedy_alpha));
-  }
-  if (!o.fell_back_reason.empty()) {
-    lines.push_back("degraded: " + o.fell_back_reason);
-  }
-  for (size_t i = 0; i < lines.size(); ++i) {
-    TreeLine(out, prefix, i + 1 == lines.size(), lines[i]);
-  }
-}
-
-std::string OptionHeadline(const PlacementOption& o, size_t rank,
-                           bool is_best) {
-  std::string line = "option " + std::to_string(rank) + ": system=" +
-                     o.system + " total=" + Sec(o.total_seconds()) +
-                     "s (transfer=" + Sec(o.transfer_seconds) +
-                     "s operator=" + Sec(o.operator_seconds) +
-                     "s) approach=" + o.approach;
-  if (!o.algorithm.empty()) line += " algorithm=" + o.algorithm;
-  if (is_best) line += " [best]";
-  return line;
-}
-
-std::string OptionJson(const PlacementOption& o, size_t rank,
-                       const std::string& indent) {
-  std::string j = indent + "{\n";
-  j += indent + "  \"rank\": " + std::to_string(rank) + ",\n";
-  j += indent + "  \"system\": \"" + JsonEscape(o.system) + "\",\n";
-  j += indent + "  \"transfer_seconds\": " + Sec(o.transfer_seconds) + ",\n";
-  j += indent + "  \"operator_seconds\": " + Sec(o.operator_seconds) + ",\n";
-  j += indent + "  \"total_seconds\": " + Sec(o.total_seconds()) + ",\n";
-  j += indent + "  \"approach\": \"" + JsonEscape(o.approach) + "\",\n";
-  j += indent + "  \"algorithm\": \"" + JsonEscape(o.algorithm) + "\",\n";
-  j += indent + "  \"used_remedy\": " + (o.used_remedy ? "true" : "false") +
-       ",\n";
-  j += indent + "  \"remedy_alpha\": " + Sec(o.remedy_alpha) + ",\n";
-  j += indent + "  \"fell_back_reason\": \"" +
-       JsonEscape(o.fell_back_reason) + "\",\n";
-  j += indent + "  \"algorithm_candidates\": [";
-  for (size_t i = 0; i < o.algorithm_candidates.size(); ++i) {
-    const auto& c = o.algorithm_candidates[i];
-    if (i > 0) j += ",";
-    j += "\n" + indent + "    {\"algorithm\": \"" + JsonEscape(c.algorithm) +
-         "\", \"seconds\": " + Sec(c.seconds) + "}";
-  }
-  if (!o.algorithm_candidates.empty()) j += "\n" + indent + "  ";
-  j += "],\n";
-  j += indent + "  \"eliminated_algorithms\": [";
-  for (size_t i = 0; i < o.eliminated_algorithms.size(); ++i) {
-    const auto& e = o.eliminated_algorithms[i];
-    if (i > 0) j += ",";
-    j += "\n" + indent + "    {\"algorithm\": \"" + JsonEscape(e.algorithm) +
-         "\", \"reason\": \"" + JsonEscape(e.reason) + "\"}";
-  }
-  if (!o.eliminated_algorithms.empty()) j += "\n" + indent + "  ";
-  j += "]\n";
-  j += indent + "}";
-  return j;
-}
-
-std::string EliminatedJson(const std::vector<EliminatedPlacement>& eliminated,
-                           const std::string& indent) {
+/// A JSON array with one object per line, indented under `indent`; `[]`
+/// when empty. `render(item, index)` returns the object's text.
+template <typename T, typename Render>
+std::string JsonLines(const std::vector<T>& items, const std::string& indent,
+                      Render render) {
   std::string j = "[";
-  for (size_t i = 0; i < eliminated.size(); ++i) {
-    if (i > 0) j += ",";
-    j += "\n" + indent + "  {\"system\": \"" +
-         JsonEscape(eliminated[i].system) + "\", \"reason\": \"" +
-         JsonEscape(eliminated[i].reason) + "\"}";
+  for (size_t i = 0; i < items.size(); ++i) {
+    j += (i > 0 ? ",\n" : "\n") + indent + "  " + render(items[i], i);
   }
-  if (!eliminated.empty()) j += "\n" + indent;
-  j += "]";
-  return j;
+  if (!items.empty()) j += "\n" + indent;
+  return j + "]";
 }
 
 const char* NodeKindName(QueryPlanNode::Kind kind) {
@@ -153,55 +81,92 @@ std::string QueryNodeHeadline(const QueryPlanNode& n) {
           "s) rows=" + std::to_string(n.output_rows) +
           " approach=" + n.approach;
   if (!n.algorithm.empty()) line += " algorithm=" + n.algorithm;
-  if (n.used_remedy) line += " remedy_alpha=" + Sec(n.remedy_alpha);
-  if (!n.fell_back_reason.empty()) line += " degraded=" + n.fell_back_reason;
   return line;
 }
 
-/// Recursively renders the subtree rooted at `idx` under `prefix`.
+/// An operator node's provenance sub-lines: every surviving algorithm
+/// candidate's estimate, every eliminated algorithm with the applicability
+/// rule that killed it, the online remedy's alpha, and the degradation
+/// reason.
+std::vector<std::string> NodeDetails(const QueryPlanNode& n) {
+  std::vector<std::string> lines;
+  for (const auto& c : n.algorithm_candidates) {
+    lines.push_back("candidate " + c.algorithm + ": " + Sec(c.seconds) + "s");
+  }
+  for (const auto& e : n.eliminated_algorithms) {
+    lines.push_back("eliminated " + e.algorithm + ": " + e.reason);
+  }
+  if (n.used_remedy) {
+    lines.push_back("online remedy: alpha=" + Sec(n.remedy_alpha));
+  }
+  if (!n.fell_back_reason.empty()) {
+    lines.push_back("degraded: " + n.fell_back_reason);
+  }
+  return lines;
+}
+
+/// Recursively renders the subtree rooted at `idx` under `prefix`: each
+/// node's headline, then its provenance sub-lines, then its children.
 void RenderQueryNode(std::string* out, const QueryPlan& plan, int idx,
                      const std::string& prefix, bool last) {
   const QueryPlanNode& n = plan.nodes[static_cast<size_t>(idx)];
   TreeLine(out, prefix, last, QueryNodeHeadline(n));
   const std::string child_prefix = prefix + (last ? "   " : "|  ");
-  for (size_t i = 0; i < n.children.size(); ++i) {
-    RenderQueryNode(out, plan, n.children[i], child_prefix,
-                    i + 1 == n.children.size());
+  const std::vector<std::string> details = NodeDetails(n);
+  const size_t children = n.children.size();
+  for (size_t i = 0; i < details.size(); ++i) {
+    TreeLine(out, child_prefix, i + 1 == details.size() && children == 0,
+             details[i]);
+  }
+  for (size_t i = 0; i < children; ++i) {
+    RenderQueryNode(out, plan, n.children[i], child_prefix, i + 1 == children);
   }
 }
 
 std::string QueryNodeJson(const QueryPlan& plan, int idx,
                           const std::string& indent) {
   const QueryPlanNode& n = plan.nodes[static_cast<size_t>(idx)];
+  const std::string inner = indent + "  ";
   std::string j = "{\n";
-  j += indent + "  \"kind\": \"" + NodeKindName(n.kind) + "\",\n";
-  j += indent + "  \"system\": \"" + JsonEscape(n.system) + "\",\n";
-  j += indent + "  \"label\": \"" + JsonEscape(n.label) + "\",\n";
-  j += indent +
-       "  \"relation_mask\": " + std::to_string(n.relation_mask) + ",\n";
-  j += indent + "  \"output_rows\": " + std::to_string(n.output_rows) + ",\n";
-  j += indent +
-       "  \"output_row_bytes\": " + std::to_string(n.output_row_bytes) +
-       ",\n";
-  j += indent + "  \"transfer_seconds\": " + Sec(n.transfer_seconds) + ",\n";
-  j += indent + "  \"operator_seconds\": " + Sec(n.operator_seconds) + ",\n";
-  j += indent + "  \"subtree_seconds\": " + Sec(n.subtree_seconds) + ",\n";
-  j += indent + "  \"approach\": \"" + JsonEscape(n.approach) + "\",\n";
-  j += indent + "  \"algorithm\": \"" + JsonEscape(n.algorithm) + "\",\n";
-  j += indent + "  \"used_remedy\": " + (n.used_remedy ? "true" : "false") +
-       ",\n";
-  j += indent + "  \"fell_back_reason\": \"" +
-       JsonEscape(n.fell_back_reason) + "\",\n";
-  j += indent + "  \"children\": [";
-  for (size_t i = 0; i < n.children.size(); ++i) {
-    if (i > 0) j += ",";
-    j += "\n" + indent + "    " + QueryNodeJson(plan, n.children[i],
-                                                indent + "    ");
-  }
-  if (!n.children.empty()) j += "\n" + indent + "  ";
-  j += "]\n";
-  j += indent + "}";
-  return j;
+  auto field = [&](const char* key, const std::string& value) {
+    j += inner + "\"" + key + "\": " + value + ",\n";
+  };
+  auto quoted = [](const std::string& s) {
+    return "\"" + JsonEscape(s) + "\"";
+  };
+  field("kind", quoted(NodeKindName(n.kind)));
+  field("system", quoted(n.system));
+  field("label", quoted(n.label));
+  field("relation_mask", std::to_string(n.relation_mask));
+  field("output_rows", std::to_string(n.output_rows));
+  field("output_row_bytes", std::to_string(n.output_row_bytes));
+  field("transfer_seconds", Sec(n.transfer_seconds));
+  field("operator_seconds", Sec(n.operator_seconds));
+  field("subtree_seconds", Sec(n.subtree_seconds));
+  field("approach", quoted(n.approach));
+  field("algorithm", quoted(n.algorithm));
+  field("used_remedy", n.used_remedy ? "true" : "false");
+  field("remedy_alpha", Sec(n.remedy_alpha));
+  field("fell_back_reason", quoted(n.fell_back_reason));
+  field("algorithm_candidates",
+        JsonLines(n.algorithm_candidates, inner,
+                  [&](const core::AlgorithmEstimate& c, size_t) {
+                    return "{\"algorithm\": " + quoted(c.algorithm) +
+                           ", \"seconds\": " + Sec(c.seconds) + "}";
+                  }));
+  field("eliminated_algorithms",
+        JsonLines(n.eliminated_algorithms, inner,
+                  [&](const core::EliminatedAlgorithm& e, size_t) {
+                    return "{\"algorithm\": " + quoted(e.algorithm) +
+                           ", \"reason\": " + quoted(e.reason) + "}";
+                  }));
+  j += inner + "\"children\": " +
+       JsonLines(n.children, inner,
+                 [&](int child, size_t) {
+                   return QueryNodeJson(plan, child, inner + "  ");
+                 }) +
+       "\n";
+  return j + indent + "}";
 }
 
 }  // namespace
@@ -215,28 +180,19 @@ PlacementExplanation ExplainQueryPlan(const QueryPlan& plan) {
             " subplans dropped (costed=" +
             std::to_string(plan.candidates_costed) +
             " dp_entries=" + std::to_string(plan.dp_entries) + ")\n";
-  // The chosen candidate's full tree, then the alternatives' headlines,
-  // then everything the search dropped.
-  const size_t alt_count =
-      plan.candidates.size() > 1 ? plan.candidates.size() - 1 : 0;
-  const size_t total =
-      (plan.candidates.empty() ? 0 : 1) + alt_count + plan.pruned.size();
+  // The chosen candidate's tree, then each alternative's tree, then
+  // everything the search dropped.
+  const size_t total = plan.candidates.size() + plan.pruned.size();
   size_t line_idx = 0;
-  if (!plan.candidates.empty()) {
-    const QueryPlanCandidate& best = plan.candidates.front();
-    bool last = ++line_idx == total;
+  for (size_t i = 0; i < plan.candidates.size(); ++i) {
+    const QueryPlanCandidate& c = plan.candidates[i];
+    const bool last = ++line_idx == total;
     TreeLine(&ex.tree, "", last,
-             "chosen: total=" + Sec(best.total_seconds) +
-                 "s (result transfer=" + Sec(best.result_transfer_seconds) +
-                 "s)");
-    RenderQueryNode(&ex.tree, plan, best.root, last ? "   " : "|  ", true);
-    for (size_t i = 1; i < plan.candidates.size(); ++i) {
-      const QueryPlanCandidate& c = plan.candidates[i];
-      const QueryPlanNode& root = plan.nodes[static_cast<size_t>(c.root)];
-      TreeLine(&ex.tree, "", ++line_idx == total,
-               "candidate " + std::to_string(i + 1) + ": root@" + root.system +
-                   " total=" + Sec(c.total_seconds) + "s");
-    }
+             (i == 0 ? std::string("chosen")
+                     : "candidate " + std::to_string(i + 1)) +
+                 ": total=" + Sec(c.total_seconds) + "s (result transfer=" +
+                 Sec(c.result_transfer_seconds) + "s)");
+    RenderQueryNode(&ex.tree, plan, c.root, last ? "   " : "|  ", true);
   }
   for (const auto& p : plan.pruned) {
     std::string line = std::string(PrunedKindName(p.kind)) + " " +
@@ -261,158 +217,28 @@ PlacementExplanation ExplainQueryPlan(const QueryPlan& plan) {
     ex.json += "    \"best_total_seconds\": null,\n";
     ex.json += "    \"tree\": null,\n";
   }
-  ex.json += "    \"candidates\": [";
-  for (size_t i = 0; i < plan.candidates.size(); ++i) {
-    const QueryPlanCandidate& c = plan.candidates[i];
+  auto candidate_json = [&plan](const QueryPlanCandidate& c, size_t i) {
     const QueryPlanNode& root = plan.nodes[static_cast<size_t>(c.root)];
-    if (i > 0) ex.json += ",";
-    ex.json += "\n      {\"rank\": " + std::to_string(i + 1) +
-               ", \"system\": \"" + JsonEscape(root.system) +
-               "\", \"result_transfer_seconds\": " +
-               Sec(c.result_transfer_seconds) +
-               ", \"total_seconds\": " + Sec(c.total_seconds) + "}";
-  }
-  if (!plan.candidates.empty()) ex.json += "\n    ";
-  ex.json += "],\n";
-  ex.json += "    \"pruned\": [";
-  for (size_t i = 0; i < plan.pruned.size(); ++i) {
-    const PrunedSubplan& p = plan.pruned[i];
-    if (i > 0) ex.json += ",";
-    ex.json += "\n      {\"kind\": \"" + std::string(PrunedKindName(p.kind)) +
-               "\", \"stage\": \"" + NodeKindName(p.stage) +
-               "\", \"relation_mask\": " + std::to_string(p.relation_mask) +
-               ", \"system\": \"" + JsonEscape(p.system) +
-               "\", \"via_system\": \"" + JsonEscape(p.via_system) +
-               "\", \"subtree_seconds\": " + Sec(p.subtree_seconds) +
-               ", \"reason\": \"" + JsonEscape(p.reason) +
-               "\", \"description\": \"" + JsonEscape(p.description) + "\"}";
-  }
-  if (!plan.pruned.empty()) ex.json += "\n    ";
-  ex.json += "]\n";
+    return "{\"rank\": " + std::to_string(i + 1) + ", \"system\": \"" +
+           JsonEscape(root.system) + "\", \"result_transfer_seconds\": " +
+           Sec(c.result_transfer_seconds) +
+           ", \"total_seconds\": " + Sec(c.total_seconds) + "}";
+  };
+  auto pruned_json = [](const PrunedSubplan& p, size_t) {
+    return "{\"kind\": \"" + std::string(PrunedKindName(p.kind)) +
+           "\", \"stage\": \"" + NodeKindName(p.stage) +
+           "\", \"relation_mask\": " + std::to_string(p.relation_mask) +
+           ", \"system\": \"" + JsonEscape(p.system) +
+           "\", \"via_system\": \"" + JsonEscape(p.via_system) +
+           "\", \"subtree_seconds\": " + Sec(p.subtree_seconds) +
+           ", \"reason\": \"" + JsonEscape(p.reason) +
+           "\", \"description\": \"" + JsonEscape(p.description) + "\"}";
+  };
+  ex.json += "    \"candidates\": " +
+             JsonLines(plan.candidates, "    ", candidate_json) + ",\n";
+  ex.json += "    \"pruned\": " + JsonLines(plan.pruned, "    ", pruned_json) +
+             "\n";
   ex.json += "  }\n";
-  ex.json += "}\n";
-  return ex;
-}
-
-PlacementExplanation ExplainPlacement(const PlacementPlan& plan) {
-  PlacementExplanation ex;
-  const std::string op_name = rel::OperatorTypeName(plan.op.type);
-
-  // --- Tree.
-  ex.tree = "placement plan: " + op_name + " (" +
-            std::to_string(plan.options.size()) + " options, " +
-            std::to_string(plan.eliminated.size()) + " hosts eliminated)\n";
-  const size_t total = plan.options.size() + plan.eliminated.size();
-  size_t line_idx = 0;
-  for (size_t i = 0; i < plan.options.size(); ++i, ++line_idx) {
-    const PlacementOption& o = plan.options[i];
-    bool last = line_idx + 1 == total;
-    TreeLine(&ex.tree, "", last, OptionHeadline(o, i + 1, i == 0));
-    RenderOptionDetails(&ex.tree, last ? "   " : "|  ", o);
-  }
-  for (size_t i = 0; i < plan.eliminated.size(); ++i, ++line_idx) {
-    const EliminatedPlacement& e = plan.eliminated[i];
-    TreeLine(&ex.tree, "", line_idx + 1 == total,
-             "eliminated host " + e.system + ": " + e.reason);
-  }
-
-  // --- JSON.
-  ex.json = "{\n";
-  ex.json += "  \"operator\": \"" + JsonEscape(op_name) + "\",\n";
-  ex.json += "  \"options\": [";
-  for (size_t i = 0; i < plan.options.size(); ++i) {
-    if (i > 0) ex.json += ",";
-    ex.json += "\n";
-    ex.json += OptionJson(plan.options[i], i + 1, "    ");
-  }
-  if (!plan.options.empty()) ex.json += "\n  ";
-  ex.json += "],\n";
-  ex.json +=
-      "  \"eliminated_placements\": " + EliminatedJson(plan.eliminated, "  ") +
-      "\n";
-  ex.json += "}\n";
-  return ex;
-}
-
-PlacementExplanation ExplainPipeline(const PipelinePlan& plan) {
-  PlacementExplanation ex;
-
-  // --- Tree.
-  ex.tree = "pipeline plan: join then aggregation (" +
-            std::to_string(plan.options.size()) + " options, " +
-            std::to_string(plan.eliminated.size()) +
-            " placements eliminated)\n";
-  const size_t total = plan.options.size() + plan.eliminated.size();
-  size_t line_idx = 0;
-  for (size_t i = 0; i < plan.options.size(); ++i, ++line_idx) {
-    const PipelinePlacement& p = plan.options[i];
-    bool last = line_idx + 1 == total;
-    std::string head = "option " + std::to_string(i + 1) + ": join@" +
-                       p.join_system + " agg@" + p.agg_system +
-                       " total=" + Sec(p.total_seconds()) + "s";
-    if (i == 0) head += " [best]";
-    TreeLine(&ex.tree, "", last, head);
-    const std::string prefix = last ? "   " : "|  ";
-    TreeLine(&ex.tree, prefix, false,
-             "input transfer: " + Sec(p.input_transfer_seconds) + "s");
-    std::string join_line = "join: " + Sec(p.join_seconds) + "s approach=" +
-                            p.join_approach;
-    if (!p.join_algorithm.empty()) {
-      join_line += " algorithm=" + p.join_algorithm;
-    }
-    TreeLine(&ex.tree, prefix, false, join_line);
-    TreeLine(&ex.tree, prefix, false,
-             "intermediate transfer: " + Sec(p.interm_transfer_seconds) +
-                 "s");
-    std::string agg_line = "aggregation: " + Sec(p.agg_seconds) +
-                           "s approach=" + p.agg_approach;
-    if (!p.agg_algorithm.empty()) agg_line += " algorithm=" + p.agg_algorithm;
-    TreeLine(&ex.tree, prefix, false, agg_line);
-    TreeLine(&ex.tree, prefix, true,
-             "result transfer: " + Sec(p.result_transfer_seconds) + "s");
-  }
-  for (size_t i = 0; i < plan.eliminated.size(); ++i, ++line_idx) {
-    const EliminatedPlacement& e = plan.eliminated[i];
-    TreeLine(&ex.tree, "", line_idx + 1 == total,
-             "eliminated " + e.system + ": " + e.reason);
-  }
-
-  // --- JSON.
-  ex.json = "{\n";
-  ex.json += "  \"operator\": \"pipeline\",\n";
-  ex.json += "  \"options\": [";
-  for (size_t i = 0; i < plan.options.size(); ++i) {
-    const PipelinePlacement& p = plan.options[i];
-    if (i > 0) ex.json += ",";
-    ex.json += "\n    {\n";
-    ex.json += "      \"rank\": " + std::to_string(i + 1) + ",\n";
-    ex.json +=
-        "      \"join_system\": \"" + JsonEscape(p.join_system) + "\",\n";
-    ex.json += "      \"agg_system\": \"" + JsonEscape(p.agg_system) + "\",\n";
-    ex.json += "      \"input_transfer_seconds\": " +
-               Sec(p.input_transfer_seconds) + ",\n";
-    ex.json += "      \"join_seconds\": " + Sec(p.join_seconds) + ",\n";
-    ex.json += "      \"interm_transfer_seconds\": " +
-               Sec(p.interm_transfer_seconds) + ",\n";
-    ex.json += "      \"agg_seconds\": " + Sec(p.agg_seconds) + ",\n";
-    ex.json += "      \"result_transfer_seconds\": " +
-               Sec(p.result_transfer_seconds) + ",\n";
-    ex.json += "      \"total_seconds\": " + Sec(p.total_seconds()) + ",\n";
-    ex.json +=
-        "      \"join_approach\": \"" + JsonEscape(p.join_approach) + "\",\n";
-    ex.json += "      \"join_algorithm\": \"" + JsonEscape(p.join_algorithm) +
-               "\",\n";
-    ex.json +=
-        "      \"agg_approach\": \"" + JsonEscape(p.agg_approach) + "\",\n";
-    ex.json += "      \"agg_algorithm\": \"" + JsonEscape(p.agg_algorithm) +
-               "\"\n";
-    ex.json += "    }";
-  }
-  if (!plan.options.empty()) ex.json += "\n  ";
-  ex.json += "],\n";
-  ex.json +=
-      "  \"eliminated_placements\": " + EliminatedJson(plan.eliminated, "  ") +
-      "\n";
   ex.json += "}\n";
   return ex;
 }

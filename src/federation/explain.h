@@ -1,11 +1,13 @@
-// EXPLAIN-style rendering of placement plans: the full cost breakdown the
-// optimizer saw — per-candidate transfer vs. operator seconds, the costing
-// approach and algorithm behind every number, eliminated algorithm
-// candidates with the applicability rule that killed them, and eliminated
-// hosts with the reason — as a human-readable tree and as JSON.
+// EXPLAIN-style rendering of a query plan: the full cost breakdown the DP
+// search saw — per-node placement with transfer vs. operator seconds, the
+// costing approach and algorithm behind every number, the surviving and
+// eliminated algorithm candidates (with the applicability rule that killed
+// each), online-remedy and degradation provenance, every completed
+// alternative, and the subplans the search dropped with their reasons —
+// as a human-readable tree and as JSON.
 //
-// Rendering is pure: it reads only the provenance-complete plan structs
-// (the planners always collect full provenance), so an explanation can be
+// Rendering is pure: it reads only the provenance-complete QueryPlan (the
+// planner always collects full provenance), so an explanation can be
 // produced for any plan after the fact, with no side channels and no
 // re-estimation. Output is deterministic for a given plan (fixed number
 // formatting), which is what the golden tests pin down.
@@ -15,7 +17,7 @@
 
 #include <string>
 
-#include "federation/intellisphere.h"
+#include "federation/plan_search.h"
 
 namespace intellisphere::fed {
 
@@ -25,19 +27,13 @@ struct PlacementExplanation {
   std::string json;  ///< machine-readable JSON object
 };
 
-/// Explains a single-operator placement plan (PlanJoin / PlanAgg /
-/// PlanScan result).
-PlacementExplanation ExplainPlacement(const PlacementPlan& plan);
-
-/// Explains a two-operator pipeline plan (PlanJoinThenAgg result).
-PlacementExplanation ExplainPipeline(const PipelinePlan& plan);
-
 /// Explains a DP search result (PlanQuery / SearchPlan): the chosen plan
 /// tree rendered node by node (placement, transfer vs. operator seconds,
-/// approach/algorithm provenance per node), every completed alternative's
-/// headline, and the subplans the search dropped — eliminated hosts,
-/// dominated DP entries, prune_factor victims — with their reasons. The
-/// JSON form is one top-level `query_plan` object (schema checked by
+/// approach/algorithm provenance, algorithm candidates and eliminations,
+/// remedy alpha, degradation), every completed alternative's tree, and
+/// the subplans the search dropped — eliminated hosts, dominated DP
+/// entries, prune_factor victims — with their reasons. The JSON form is
+/// one top-level `query_plan` object (schema checked by
 /// scripts/check_explain_json.py).
 PlacementExplanation ExplainQueryPlan(const QueryPlan& plan);
 

@@ -1,9 +1,9 @@
 // The IntelliSphere federation facade (Figure 1): Teradata as the master
 // engine, remote systems registered with costing profiles and QueryGrid
-// connectors, foreign tables registered with their location, and a
-// cost-based placement optimizer that enumerates the paper's candidate
-// placements for an operator — each remote system owning (part of) the
-// input data, or Teradata itself — and costs each as
+// connectors, foreign tables registered with their location, and the
+// cost-based planner (PlanQuery) that places every operator of a query on
+// one of the paper's candidate hosts — each remote system owning (part of)
+// the input data, or Teradata itself — costing each placement as
 //   transfer-in (QueryGrid relay) + estimated operator elapsed time.
 
 #ifndef INTELLISPHERE_FEDERATION_INTELLISPHERE_H_
@@ -18,7 +18,6 @@
 #include "engine/local_cost_model.h"
 #include "federation/plan_search.h"
 #include "federation/querygrid.h"
-#include "relational/cardinality.h"
 #include "relational/catalog.h"
 #include "relational/query.h"
 #include "remote/remote_system.h"
@@ -26,86 +25,6 @@
 #include "serving/service.h"
 
 namespace intellisphere::fed {
-
-/// One candidate placement of an operator, with the costing provenance
-/// ExplainPlacement renders.
-struct PlacementOption {
-  std::string system;  ///< executing system ("teradata" or a remote name)
-  double transfer_seconds = 0.0;  ///< QueryGrid cost to stage the inputs
-  double operator_seconds = 0.0;  ///< estimated elapsed time of the operator
-  double total_seconds() const { return transfer_seconds + operator_seconds; }
-
-  /// Costing approach that produced operator_seconds: "local" for the
-  /// master engine, otherwise the profile's CostingApproachName.
-  std::string approach;
-  /// Chosen physical algorithm (sub-op path) or empty.
-  std::string algorithm;
-  /// Every surviving algorithm candidate's estimate (sub-op path).
-  std::vector<core::AlgorithmEstimate> algorithm_candidates;
-  /// Algorithms the applicability rules eliminated, with the killing rule.
-  std::vector<core::EliminatedAlgorithm> eliminated_algorithms;
-  /// Online-remedy provenance (logical-op path).
-  bool used_remedy = false;
-  double remedy_alpha = 1.0;
-  /// Degradation provenance (DESIGN.md §12): non-empty when the estimate
-  /// was produced down the breaker-open fallback ladder (e.g.
-  /// "breaker_open:sub_op", "breaker_open:last_known_good").
-  std::string fell_back_reason;
-};
-
-/// A candidate host the planner dropped entirely, with the reason (e.g. the
-/// engine cannot run the operator, or every algorithm was eliminated).
-struct EliminatedPlacement {
-  std::string system;
-  std::string reason;
-};
-
-/// The optimizer's decision: all costed options, cheapest first.
-struct PlacementPlan {
-  std::vector<PlacementOption> options;
-  /// The cheapest placement. FailedPrecondition when the plan holds no
-  /// options (planners never return such a plan, but a default-constructed
-  /// or filtered one may be empty).
-  [[nodiscard]] Result<PlacementOption> best() const;
-  /// The operator descriptor the plan was costed for.
-  rel::SqlOperator op;
-  /// Candidate hosts that were considered but could not run the operator.
-  std::vector<EliminatedPlacement> eliminated;
-};
-
-/// One candidate placement of a two-operator pipeline (join then
-/// aggregation over the join result). The intermediate result may remain
-/// on the system that produced it (Section 2, "Query Plans").
-struct PipelinePlacement {
-  std::string join_system;
-  std::string agg_system;
-  double input_transfer_seconds = 0.0;    ///< staging the base tables
-  double join_seconds = 0.0;
-  double interm_transfer_seconds = 0.0;   ///< moving the join result
-  double agg_seconds = 0.0;
-  double result_transfer_seconds = 0.0;   ///< final answer back to Teradata
-  double total_seconds() const {
-    return input_transfer_seconds + join_seconds + interm_transfer_seconds +
-           agg_seconds + result_transfer_seconds;
-  }
-
-  /// Per-stage costing provenance ("local" or CostingApproachName).
-  std::string join_approach;
-  std::string join_algorithm;
-  std::string agg_approach;
-  std::string agg_algorithm;
-};
-
-/// All costed pipeline placements, cheapest first.
-struct PipelinePlan {
-  std::vector<PipelinePlacement> options;
-  /// The cheapest pipeline placement; FailedPrecondition when empty.
-  [[nodiscard]] Result<PipelinePlacement> best() const;
-  rel::SqlOperator join_op;
-  rel::SqlOperator agg_op;
-  /// (host, stage) combinations the planner dropped, with reasons.
-  std::vector<EliminatedPlacement> eliminated;
-};
 
 /// The federation facade.
 class IntelliSphere {
@@ -146,52 +65,14 @@ class IntelliSphere {
       const QuerySpec& spec, const core::EstimateContext& ctx = {},
       const PlannerOptions& options = {}) const;
 
-  /// Costs all placements of joining two registered tables on `a1` with an
-  /// extra predicate selectivity, projecting the given byte widths.
-  /// Candidates: each distinct system owning one of the inputs, plus
-  /// Teradata. Options are sorted cheapest-first. A thin wrapper over
-  /// PlanQuery on the equivalent two-relation spec (bit-identical results;
-  /// pinned by the wrapper-parity regression tests).
-  [[nodiscard]] Result<PlacementPlan> PlanJoin(
-      const std::string& left_table, const std::string& right_table,
-      int64_t left_projected_bytes, int64_t right_projected_bytes,
-      double extra_selectivity = 1.0,
-      const core::EstimateContext& ctx = {}) const;
-
-  /// Costs all placements of aggregating a registered table by
-  /// `group_column` with `num_aggregates` SUMs. A thin wrapper over
-  /// PlanQuery on the equivalent single-relation spec.
-  [[nodiscard]] Result<PlacementPlan> PlanAgg(
-      const std::string& table, const std::string& group_column,
-      int num_aggregates, const core::EstimateContext& ctx = {}) const;
-
-  /// Costs all placements of a selection + projection over a registered
-  /// table. When the scan would run on Teradata, QueryGrid's predicate
-  /// pushdown already reduces the transferred volume to the survivors.
-  /// A thin wrapper over PlanQuery on the equivalent bare-scan spec.
-  [[nodiscard]] Result<PlacementPlan> PlanScan(
-      const std::string& table, double selectivity, int64_t projected_bytes,
-      const core::EstimateContext& ctx = {}) const;
-
-  /// Costs every placement pair of a two-operator pipeline: join the two
-  /// tables on a1 (projecting the given widths, applying
-  /// `extra_selectivity`), then GROUP BY `group_column` (a column of the
-  /// left table surviving the projection) computing `num_aggregates` SUMs
-  /// over the join result. The join may run on either owner or Teradata;
-  /// the aggregation on the join's host (keeping the intermediate in
-  /// place) or on Teradata; the final answer always returns to Teradata.
-  /// A thin wrapper over PlanQuery on the equivalent join + aggregate spec
-  /// with result_to_master set.
-  [[nodiscard]] Result<PipelinePlan> PlanJoinThenAgg(
-      const std::string& left_table, const std::string& right_table,
-      int64_t left_projected_bytes, int64_t right_projected_bytes,
-      double extra_selectivity, const std::string& group_column,
-      int num_aggregates, const core::EstimateContext& ctx = {}) const;
-
-  /// Executes the plan's best placement on the actual (simulated) system
-  /// and feeds the observed cost back into the costing profile's log.
-  /// Returns the observed elapsed seconds of the operator itself.
-  [[nodiscard]] Result<double> ExecuteBest(const PlacementPlan& plan);
+  /// Executes the chosen plan's root operator on the actual (simulated)
+  /// system and feeds the observed cost back into that system's costing
+  /// profile log; a root placed on Teradata is "executed" by the master
+  /// engine's analytic model. Returns the observed elapsed seconds of the
+  /// operator itself. Only single-operator plans (a root whose children
+  /// are all base tables) can be executed: an empty plan, a bare-table
+  /// root, or a multi-operator tree is InvalidArgument.
+  [[nodiscard]] Result<double> ExecuteBest(const QueryPlan& plan);
 
   /// Routes the planners' remote cost estimates through a serving-layer
   /// cache. The service must wrap *this* facade's cost_estimator()

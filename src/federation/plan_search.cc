@@ -75,7 +75,7 @@ struct DpEntry {
 
 /// The distinct candidate hosts of one operator, ascending. Site ids are
 /// name ranks, so this is the order a std::set of the names iterates in —
-/// the host order the wrapper bit-parity contract pins.
+/// the host order the legacy-replica parity contract pins.
 class HostSet {
  public:
   HostSet(int a, int b) : HostSet(a, b, b) {}
@@ -531,8 +531,8 @@ class Searcher {
         // The independently-rounded side cardinalities can undercut the
         // subset estimate by a hair; cap at the |L| x |R| bound the
         // descriptor validation enforces. Never triggers for two base
-        // relations (the wrapper-parity case), where the subset formula
-        // is exactly the legacy one.
+        // relations (the legacy-replica parity case), where the subset
+        // formula is exactly the legacy one.
         const double bound = static_cast<double>(left_stats.rows) *
                              static_cast<double>(right_stats.rows);
         if (static_cast<double>(q.output_rows) > bound) {
@@ -599,7 +599,7 @@ class Searcher {
                                             root));
         continue;
       }
-      // Accumulation order is part of the wrapper bit-parity contract:
+      // Accumulation order is part of the legacy-replica parity contract:
       // children, then left transfer, then right transfer, then operator.
       double cost = c.left_cost + c.right_cost;
       cost += c.transfer_left;

@@ -10,11 +10,13 @@
 // callback, so the serving layer's dedup/cache and the batched-GEMM path
 // absorb the candidate explosion (DESIGN.md §14).
 //
-// Cost model parity: on two-relation specs the search reproduces the
-// legacy PlanJoin/PlanAgg/PlanScan/PlanJoinThenAgg planners bit for bit —
-// same operator descriptors, same floating-point accumulation order, same
-// host iteration and sort — which is what lets those planners be thin
-// wrappers over PlanQuery (pinned by the wrapper-parity regression tests).
+// Cost model parity: on one- and two-relation specs the search reproduces
+// the per-operator placement planners it replaced (join, aggregation,
+// scan, and join-then-aggregate) bit for bit — same operator descriptors,
+// same floating-point accumulation order, same host iteration and sort.
+// The legacy-replica parity tests keep hand-rolled copies of those
+// planners as the reference and compare PlanQuery against them field for
+// field.
 
 #ifndef INTELLISPHERE_FEDERATION_PLAN_SEARCH_H_
 #define INTELLISPHERE_FEDERATION_PLAN_SEARCH_H_
@@ -77,7 +79,7 @@ struct QuerySpec {
     std::string table;
     /// Fraction of rows surviving this relation's filter predicates. A
     /// value < 1 plans an explicit scan stage for the relation; 1.0 feeds
-    /// the raw table to the join (the legacy planners' shape).
+    /// the raw table to the join.
     double filter_selectivity = 1.0;
     /// Byte width this relation contributes to join projections (and the
     /// scan output width). kFullRowWidth (-1) = the full row width; values
@@ -107,8 +109,7 @@ struct QuerySpec {
   std::optional<Aggregate> aggregate;
   /// When true, candidate totals include relaying the final result back to
   /// the master engine (the paper's pipeline convention); when false, the
-  /// result stays on the system that produced it (the single-operator
-  /// planners' convention).
+  /// result stays on the system that produced it.
   bool result_to_master = false;
 
   /// Structural validation: index ranges, selectivity ranges, join-graph
@@ -139,8 +140,12 @@ struct QueryPlanNode {
   /// Cumulative cost of the subtree: children + input transfers + operator.
   double subtree_seconds = 0.0;
 
-  /// Costing provenance, as in PlacementOption ("local" for the master
-  /// engine, the profile's approach name otherwise).
+  /// Costing provenance: the approach ("local" for the master engine, the
+  /// profile's CostingApproachName otherwise), the chosen physical
+  /// algorithm (sub-op path) with every surviving candidate's estimate and
+  /// every eliminated algorithm with the rule that killed it, online-remedy
+  /// use and alpha (logical-op path), and the degradation reason when the
+  /// estimate came down the breaker-open fallback ladder (DESIGN.md §12).
   std::string approach;
   std::string algorithm;
   std::vector<core::AlgorithmEstimate> algorithm_candidates;

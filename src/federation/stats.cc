@@ -98,8 +98,8 @@ Result<int64_t> JoinOutputRows(int64_t left_rows, int64_t right_rows,
   if (left_distinct <= 0 || right_distinct <= 0) {
     return Status::InvalidArgument("non-positive distinct count");
   }
-  // Operand order matches rel::EstimateJoinCardinality exactly so the
-  // legacy-planner wrappers reproduce its numbers bit-for-bit.
+  // Operand order matches rel::EstimateJoinCardinality exactly so two-
+  // relation plans reproduce the legacy planners' numbers bit for bit.
   double denom = static_cast<double>(std::max(left_distinct, right_distinct));
   double est = static_cast<double>(left_rows) *
                static_cast<double>(right_rows) / denom * extra_selectivity;

@@ -10,8 +10,8 @@
 // Numeric contract: for a two-relation equi-join, JoinOutputRows composed
 // with base-table profiles is bit-identical to
 // rel::EstimateJoinCardinality — same operand order, same llround, same
-// max(1, ...) clamp — which is what lets the legacy planners become thin
-// wrappers over PlanQuery without changing a single golden number.
+// max(1, ...) clamp — which is what lets PlanQuery reproduce the legacy
+// per-operator planners without changing a single golden number.
 
 #ifndef INTELLISPHERE_FEDERATION_STATS_H_
 #define INTELLISPHERE_FEDERATION_STATS_H_

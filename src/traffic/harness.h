@@ -60,7 +60,7 @@ struct TenantTrafficStats {
 struct TrafficReport {
   int64_t arrivals = 0;
   int64_t answered_full = 0;      ///< plan ok, no degradation provenance
-  int64_t answered_degraded = 0;  ///< plan ok, some option fell back
+  int64_t answered_degraded = 0;  ///< plan ok, some placement fell back
   int64_t shed_load = 0;          ///< ResourceExhausted from admission
   int64_t shed_deadline = 0;      ///< DeadlineExceeded (predicted or expired)
   int64_t planner_errors = 0;     ///< any other planning failure

@@ -102,10 +102,19 @@ class IntelliSphereTest : public ::testing::Test {
     auto small = rel::SyntheticTableDef(100000, 100).value();
     small.location = kTeradataSystemName;
     ASSERT_TRUE(sphere_.RegisterTable(small).ok());
+    join_spec_.relations = {{"T8000000_250", 1.0, 32},
+                            {"T100000_100", 1.0, 32}};
+    join_spec_.joins = {{0, 1, "a1", 1.0}};
+    agg_spec_.relations = {{"T8000000_250", 1.0, kFullRowWidth}};
+    agg_spec_.aggregate = QuerySpec::Aggregate{0, "a100", 1};
   }
 
   IntelliSphere sphere_;
   remote::HiveEngine* hive_ = nullptr;
+  /// big JOIN small ON a1, 32-byte projections.
+  QuerySpec join_spec_;
+  /// big GROUP BY a100 (80k groups) with one SUM.
+  QuerySpec agg_spec_;
 };
 
 TEST_F(IntelliSphereTest, RegistrationValidation) {
@@ -119,23 +128,22 @@ TEST_F(IntelliSphereTest, RegistrationValidation) {
 }
 
 TEST_F(IntelliSphereTest, PlanJoinEnumeratesHostsAndSorts) {
-  auto plan = sphere_
-                  .PlanJoin("T8000000_250", "T100000_100", 32, 32, 1.0)
-                  .value();
+  auto plan = sphere_.PlanQuery(join_spec_).value();
   // Candidates: hive (owns the big table) and teradata.
-  ASSERT_EQ(plan.options.size(), 2u);
-  for (size_t i = 1; i < plan.options.size(); ++i) {
-    EXPECT_LE(plan.options[i - 1].total_seconds(),
-              plan.options[i].total_seconds());
+  ASSERT_EQ(plan.candidates.size(), 2u);
+  for (size_t i = 1; i < plan.candidates.size(); ++i) {
+    EXPECT_LE(plan.candidates[i - 1].total_seconds,
+              plan.candidates[i].total_seconds);
   }
   // Moving the 2 GB table to Teradata is costed as transfer.
-  for (const auto& o : plan.options) {
-    if (o.system == kTeradataSystemName) {
-      EXPECT_GT(o.transfer_seconds, 1.0);
+  for (const auto& c : plan.candidates) {
+    const QueryPlanNode& root = plan.nodes[static_cast<size_t>(c.root)];
+    if (root.system == kTeradataSystemName) {
+      EXPECT_GT(root.transfer_seconds, 1.0);
     } else {
-      EXPECT_EQ(o.system, "hive");
+      EXPECT_EQ(root.system, "hive");
       // Only the small Teradata-side table moves to hive.
-      EXPECT_LT(o.transfer_seconds, 10.0);
+      EXPECT_LT(root.transfer_seconds, 10.0);
     }
   }
 }
@@ -143,10 +151,8 @@ TEST_F(IntelliSphereTest, PlanJoinEnumeratesHostsAndSorts) {
 TEST_F(IntelliSphereTest, BigRemoteInputFavorsRemoteExecution) {
   // Shipping 2 GB out of hive to join with a 10 MB table would be absurd;
   // the optimizer should place the join on hive.
-  auto plan = sphere_
-                  .PlanJoin("T8000000_250", "T100000_100", 32, 32, 1.0)
-                  .value();
-  EXPECT_EQ(plan.best().value().system, "hive");
+  auto plan = sphere_.PlanQuery(join_spec_).value();
+  EXPECT_EQ(plan.root().value()->system, "hive");
 }
 
 TEST_F(IntelliSphereTest, TinyLocalInputsFavorTeradata) {
@@ -158,23 +164,29 @@ TEST_F(IntelliSphereTest, TinyLocalInputsFavorTeradata) {
   b.name = "local_b";
   ASSERT_TRUE(sphere_.RegisterTable(a).ok());
   ASSERT_TRUE(sphere_.RegisterTable(b).ok());
-  auto plan = sphere_.PlanJoin("local_a", "local_b", 32, 32, 1.0).value();
-  EXPECT_EQ(plan.best().value().system, kTeradataSystemName);
+  QuerySpec spec;
+  spec.relations = {{"local_a", 1.0, 32}, {"local_b", 1.0, 32}};
+  spec.joins = {{0, 1, "a1", 1.0}};
+  auto plan = sphere_.PlanQuery(spec).value();
+  EXPECT_EQ(plan.root().value()->system, kTeradataSystemName);
 }
 
 TEST_F(IntelliSphereTest, PlanAggConsidersOwnerAndTeradata) {
   // A strongly shrinking aggregation (80k groups) is far cheaper to run
   // where the 2 GB input lives than after shipping it to Teradata.
-  auto plan = sphere_.PlanAgg("T8000000_250", "a100", 2).value();
-  ASSERT_EQ(plan.options.size(), 2u);
-  EXPECT_EQ(plan.best().value().system, "hive");
-  EXPECT_EQ(plan.op.type, rel::OperatorType::kAggregation);
-  EXPECT_EQ(plan.op.agg.output_rows, 80000);
+  QuerySpec spec = agg_spec_;
+  spec.aggregate->num_aggregates = 2;
+  auto plan = sphere_.PlanQuery(spec).value();
+  ASSERT_EQ(plan.candidates.size(), 2u);
+  const QueryPlanNode* root = plan.root().value();
+  EXPECT_EQ(root->system, "hive");
+  EXPECT_EQ(root->op.type, rel::OperatorType::kAggregation);
+  EXPECT_EQ(root->op.agg.output_rows, 80000);
 }
 
 TEST_F(IntelliSphereTest, ExecuteBestRunsOnChosenSystem) {
-  auto plan = sphere_.PlanAgg("T8000000_250", "a100", 1).value();
-  const PlacementOption best = plan.best().value();
+  auto plan = sphere_.PlanQuery(agg_spec_).value();
+  const QueryPlanNode best = *plan.root().value();
   ASSERT_EQ(best.system, "hive");
   int64_t before = hive_->queries_executed();
   double elapsed = sphere_.ExecuteBest(plan).value();
@@ -183,6 +195,25 @@ TEST_F(IntelliSphereTest, ExecuteBestRunsOnChosenSystem) {
   // The estimate is in the same ballpark as the observed execution.
   EXPECT_NEAR(best.operator_seconds, elapsed,
               0.6 * std::max(elapsed, best.operator_seconds));
+}
+
+TEST_F(IntelliSphereTest, ExecuteBestRejectsEmptyAndMultiOperatorPlans) {
+  EXPECT_EQ(sphere_.ExecuteBest(QueryPlan{}).status().code(),
+            StatusCode::kInvalidArgument);
+  // A bare base table has no operator to run.
+  QueryPlan table_only;
+  table_only.nodes.resize(1);
+  table_only.candidates = {{0, 0.0, 0.0}};
+  EXPECT_EQ(sphere_.ExecuteBest(table_only).status().code(),
+            StatusCode::kInvalidArgument);
+  // A join-then-aggregate plan's root has a join child: not one operator.
+  QuerySpec spec = join_spec_;
+  spec.aggregate = QuerySpec::Aggregate{0, "a100", 1};
+  auto plan = sphere_.PlanQuery(spec).value();
+  const int64_t before = hive_->queries_executed();
+  EXPECT_EQ(sphere_.ExecuteBest(plan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(hive_->queries_executed(), before);
 }
 
 TEST_F(IntelliSphereTest, RejectsDuplicateAndReservedRegistrations) {
@@ -239,11 +270,15 @@ TEST(IntelliSphereMultiSystemTest, JoinAcrossTwoRemotes) {
   s.location = "spark";
   ASSERT_TRUE(sphere.RegisterTable(s).ok());
 
-  auto plan = sphere.PlanJoin("T8000000_250", "T2000000_100", 32, 32, 0.5)
-                  .value();
-  EXPECT_EQ(plan.options.size(), 3u);
+  QuerySpec spec;
+  spec.relations = {{"T8000000_250", 1.0, 32}, {"T2000000_100", 1.0, 32}};
+  spec.joins = {{0, 1, "a1", 0.5}};
+  auto plan = sphere.PlanQuery(spec).value();
+  EXPECT_EQ(plan.candidates.size(), 3u);
   std::set<std::string> hosts;
-  for (const auto& o : plan.options) hosts.insert(o.system);
+  for (const auto& c : plan.candidates) {
+    hosts.insert(plan.nodes[static_cast<size_t>(c.root)].system);
+  }
   EXPECT_TRUE(hosts.count("hive"));
   EXPECT_TRUE(hosts.count("spark"));
   EXPECT_TRUE(hosts.count(kTeradataSystemName));
@@ -256,26 +291,19 @@ TEST_F(IntelliSphereTest, ClockOnlyPlannerContextsRecordGlobalCounters) {
   Counter* costed =
       MetricsRegistry::Global().GetCounter("plan.candidates_costed");
   const int64_t before = costed->value();
-  auto join = sphere_.PlanJoin("T8000000_250", "T100000_100", 32, 32, 1.0,
-                               core::EstimateContext::AtTime(0.0));
-  auto agg = sphere_.PlanAgg("T8000000_250", "a100", 1,
-                             core::EstimateContext::AtTime(0.0));
-  auto scan = sphere_.PlanScan("T8000000_250", 0.5, 32,
-                               core::EstimateContext::AtTime(0.0));
-  auto pipeline = sphere_.PlanJoinThenAgg("T8000000_250", "T100000_100", 32,
-                                          32, 1.0, "a100", 1,
-                                          core::EstimateContext::AtTime(0.0));
-  ASSERT_TRUE(join.ok());
-  ASSERT_TRUE(agg.ok());
-  ASSERT_TRUE(scan.ok());
-  ASSERT_TRUE(pipeline.ok());
-  const int64_t expected =
-      static_cast<int64_t>(join.value().options.size() +
-                           agg.value().options.size() +
-                           scan.value().options.size());
-  // The pipeline planner counts its own candidates too; require at least
-  // the three single-operator plans' worth plus one pipeline candidate.
-  EXPECT_GE(costed->value() - before, expected + 1);
+  QuerySpec scan;
+  scan.relations = {{"T8000000_250", 0.5, 32}};
+  QuerySpec pipeline = join_spec_;
+  pipeline.aggregate = QuerySpec::Aggregate{0, "a100", 1};
+  pipeline.result_to_master = true;
+  int64_t expected = 0;
+  for (const QuerySpec& spec : {join_spec_, agg_spec_, scan, pipeline}) {
+    auto plan = sphere_.PlanQuery(spec, core::EstimateContext::AtTime(0.0));
+    ASSERT_TRUE(plan.ok());
+    expected += plan.value().candidates_costed;
+  }
+  // Every placement each search costed reached the ambient counter.
+  EXPECT_EQ(costed->value() - before, expected);
 }
 
 }  // namespace

@@ -57,52 +57,58 @@ class PipelineTest : public ::testing::Test {
     auto s = rel::SyntheticTableDef(2000000, 100).value();
     s.location = "spark";
     ASSERT_TRUE(sphere_.RegisterTable(s).ok());
+    spec_.relations = {{"T8000000_250", 1.0, 32}, {"T2000000_100", 1.0, 32}};
+    spec_.joins = {{0, 1, "a1", 0.5}};
+    spec_.aggregate = QuerySpec::Aggregate{0, "a10", 2};
+    spec_.result_to_master = true;
   }
 
   IntelliSphere sphere_;
+  /// Join the two tables (32-byte projections, extra selectivity 0.5),
+  /// GROUP BY a10 with two SUMs, relay the answer to Teradata.
+  QuerySpec spec_;
 };
 
 TEST_F(PipelineTest, EnumeratesJoinAggPlacements) {
-  auto plan = sphere_
-                  .PlanJoinThenAgg("T8000000_250", "T2000000_100", 32, 32,
-                                   0.5, "a10", 2)
-                  .value();
+  auto plan = sphere_.PlanQuery(spec_).value();
   // Join hosts: hive, spark, teradata; agg hosts: join host or teradata.
   // (join on teradata collapses the pair, so 5 distinct placements.)
-  EXPECT_EQ(plan.options.size(), 5u);
+  EXPECT_EQ(plan.candidates.size(), 5u);
   // Sorted cheapest-first.
-  for (size_t i = 1; i < plan.options.size(); ++i) {
-    EXPECT_LE(plan.options[i - 1].total_seconds(),
-              plan.options[i].total_seconds());
+  for (size_t i = 1; i < plan.candidates.size(); ++i) {
+    EXPECT_LE(plan.candidates[i - 1].total_seconds,
+              plan.candidates[i].total_seconds);
   }
   // Operator descriptors are consistent.
-  EXPECT_EQ(plan.join_op.type, rel::OperatorType::kJoin);
-  EXPECT_EQ(plan.agg_op.type, rel::OperatorType::kAggregation);
-  EXPECT_EQ(plan.agg_op.agg.input.num_rows, plan.join_op.join.output_rows);
-  EXPECT_EQ(plan.agg_op.agg.input.row_bytes,
-            plan.join_op.join.OutputRowBytes());
+  const QueryPlanNode* agg = plan.root().value();
+  const QueryPlanNode& join =
+      plan.nodes[static_cast<size_t>(agg->children.front())];
+  EXPECT_EQ(join.op.type, rel::OperatorType::kJoin);
+  EXPECT_EQ(agg->op.type, rel::OperatorType::kAggregation);
+  EXPECT_EQ(agg->op.agg.input.num_rows, join.op.join.output_rows);
+  EXPECT_EQ(agg->op.agg.input.row_bytes, join.op.join.OutputRowBytes());
 }
 
 TEST_F(PipelineTest, TransferAccountingIsConsistent) {
-  auto plan = sphere_
-                  .PlanJoinThenAgg("T8000000_250", "T2000000_100", 32, 32,
-                                   0.5, "a10", 2)
-                  .value();
-  for (const auto& p : plan.options) {
+  auto plan = sphere_.PlanQuery(spec_).value();
+  for (const auto& c : plan.candidates) {
+    const QueryPlanNode& agg = plan.nodes[static_cast<size_t>(c.root)];
+    const QueryPlanNode& join =
+        plan.nodes[static_cast<size_t>(agg.children.front())];
     // Keeping the aggregation with the join avoids intermediate transfer.
-    if (p.agg_system == p.join_system) {
-      EXPECT_DOUBLE_EQ(p.interm_transfer_seconds, 0.0);
+    if (agg.system == join.system) {
+      EXPECT_DOUBLE_EQ(agg.transfer_seconds, 0.0);
     } else {
-      EXPECT_GT(p.interm_transfer_seconds, 0.0);
+      EXPECT_GT(agg.transfer_seconds, 0.0);
     }
     // A remote final answer must come back to Teradata.
-    if (p.agg_system == kTeradataSystemName) {
-      EXPECT_DOUBLE_EQ(p.result_transfer_seconds, 0.0);
+    if (agg.system == kTeradataSystemName) {
+      EXPECT_DOUBLE_EQ(c.result_transfer_seconds, 0.0);
     } else {
-      EXPECT_GT(p.result_transfer_seconds, 0.0);
+      EXPECT_GT(c.result_transfer_seconds, 0.0);
     }
-    EXPECT_GT(p.join_seconds, 0.0);
-    EXPECT_GT(p.agg_seconds, 0.0);
+    EXPECT_GT(join.operator_seconds, 0.0);
+    EXPECT_GT(agg.operator_seconds, 0.0);
   }
 }
 
@@ -114,30 +120,36 @@ TEST_F(PipelineTest, ShrinkingAggregationStaysRemote) {
   auto big = rel::SyntheticTableDef(80000000, 1000).value();
   big.location = "hive";
   ASSERT_TRUE(sphere_.RegisterTable(big).ok());
-  auto plan = sphere_
-                  .PlanJoinThenAgg("T80000000_1000", "T2000000_100", 1000,
-                                   100, 1.0, "a100", 1)
-                  .value();
-  const auto best = plan.best().value();
-  EXPECT_EQ(best.join_system, "hive");
-  EXPECT_EQ(best.agg_system, best.join_system);
+  QuerySpec spec = spec_;
+  spec.relations = {{"T80000000_1000", 1.0, 1000},
+                    {"T2000000_100", 1.0, 100}};
+  spec.joins[0].extra_selectivity = 1.0;
+  spec.aggregate = QuerySpec::Aggregate{0, "a100", 1};
+  auto plan = sphere_.PlanQuery(spec).value();
+  const QueryPlanNode* agg = plan.root().value();
+  const QueryPlanNode& join =
+      plan.nodes[static_cast<size_t>(agg->children.front())];
+  EXPECT_EQ(join.system, "hive");
+  EXPECT_EQ(agg->system, join.system);
 }
 
 TEST_F(PipelineTest, GroupCardinalityCappedByJoinOutput) {
   // At selectivity 0.01 the join result (20k rows) has fewer rows than
   // a10's distinct count (800k): the estimate must cap.
-  auto plan = sphere_
-                  .PlanJoinThenAgg("T8000000_250", "T2000000_100", 32, 32,
-                                   0.01, "a10", 1)
-                  .value();
-  EXPECT_LE(plan.agg_op.agg.output_rows, plan.join_op.join.output_rows);
+  QuerySpec spec = spec_;
+  spec.joins[0].extra_selectivity = 0.01;
+  spec.aggregate->num_aggregates = 1;
+  auto plan = sphere_.PlanQuery(spec).value();
+  const QueryPlanNode* agg = plan.root().value();
+  const QueryPlanNode& join =
+      plan.nodes[static_cast<size_t>(agg->children.front())];
+  EXPECT_LE(agg->op.agg.output_rows, join.op.join.output_rows);
 }
 
 TEST_F(PipelineTest, ErrorsOnUnknownTables) {
-  EXPECT_FALSE(sphere_
-                   .PlanJoinThenAgg("nope", "T2000000_100", 32, 32, 0.5,
-                                    "a10", 2)
-                   .ok());
+  QuerySpec spec = spec_;
+  spec.relations[0].table = "nope";
+  EXPECT_FALSE(sphere_.PlanQuery(spec).ok());
 }
 
 }  // namespace

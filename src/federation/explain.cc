@@ -1,6 +1,9 @@
 #include "federation/explain.h"
 
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "util/json.h"
@@ -65,6 +68,79 @@ std::string MaskText(uint64_t mask) {
   }
   if (first) text += "none";
   return text;
+}
+
+/// The arena node at `idx`, or null when the index is out of range.
+const QueryPlanNode* NodeAt(const QueryPlan& plan, int idx) {
+  if (idx < 0 || static_cast<size_t>(idx) >= plan.nodes.size()) {
+    return nullptr;
+  }
+  return &plan.nodes[static_cast<size_t>(idx)];
+}
+
+/// Files the table name of every kTable leaf under `n` by relation index.
+void CollectTables(const QueryPlan& plan, const QueryPlanNode& n,
+                   std::array<const std::string*, 64>* names) {
+  if (n.kind == QueryPlanNode::Kind::kTable) {
+    if (n.relation_mask != 0) {
+      (*names)[static_cast<size_t>(std::countr_zero(n.relation_mask))] =
+          &n.label;
+    }
+    return;
+  }
+  for (int child : n.children) {
+    if (const QueryPlanNode* c = NodeAt(plan, child)) {
+      CollectTables(plan, *c, names);
+    }
+  }
+}
+
+/// "{t0,t1,...}@site" for the subset a node materializes.
+std::string SubsetAt(const QueryPlan& plan, const QueryPlanNode& n) {
+  std::array<const std::string*, 64> names{};
+  CollectTables(plan, n, &names);
+  std::string label = "{";
+  for (const std::string* name : names) {
+    if (name == nullptr) continue;
+    if (label.size() > 1) label += ",";
+    label += *name;
+  }
+  return label + "}@" + n.system;
+}
+
+/// The candidate label of a dropped subplan, or "" when a node it names is
+/// missing.
+std::string PrunedLabel(const QueryPlan& plan, const PrunedSubplan& p) {
+  const QueryPlanNode* own = NodeAt(plan, p.node);
+  if (p.kind == PrunedSubplan::Kind::kPruned) {
+    return own == nullptr ? "" : SubsetAt(plan, *own) + " (prune_factor)";
+  }
+  // A costed record names its node's inputs; an eliminated one carries them.
+  std::array<int, 2> inputs = p.inputs;
+  if (own != nullptr) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      inputs[i] = i < own->children.size() ? own->children[i] : -1;
+    }
+  } else if (p.kind != PrunedSubplan::Kind::kEliminated) {
+    return "";
+  }
+  const QueryPlanNode* first = NodeAt(plan, inputs[0]);
+  if (first == nullptr) return "";
+  switch (p.stage) {
+    case QueryPlanNode::Kind::kScan:
+      return "scan(" + first->label + ") at " + p.system;
+    case QueryPlanNode::Kind::kJoin: {
+      const QueryPlanNode* second = NodeAt(plan, inputs[1]);
+      if (second == nullptr) return "";
+      return "join(" + SubsetAt(plan, *first) + ", " +
+             SubsetAt(plan, *second) + ") at " + p.system;
+    }
+    case QueryPlanNode::Kind::kAggregate:
+      return "aggregate after " + SubsetAt(plan, *first) + " at " + p.system;
+    case QueryPlanNode::Kind::kTable:
+      break;
+  }
+  return "";
 }
 
 std::string QueryNodeHeadline(const QueryPlanNode& n) {
@@ -171,6 +247,25 @@ std::string QueryNodeJson(const QueryPlan& plan, int idx,
 
 }  // namespace
 
+PrunedText DescribePruned(const QueryPlan& plan, const PrunedSubplan& p) {
+  PrunedText text;
+  text.label = PrunedLabel(plan, p);
+  if (text.label.empty()) text.label = MaskText(p.relation_mask);
+  switch (p.kind) {
+    case PrunedSubplan::Kind::kEliminated:
+      text.reason = p.reason;
+      break;
+    case PrunedSubplan::Kind::kDominated:
+      text.reason = "dominated by a cheaper subplan for the same relations";
+      break;
+    case PrunedSubplan::Kind::kPruned:
+      text.reason =
+          "cost exceeds prune_factor x the cheapest same-subset entry";
+      break;
+  }
+  return text;
+}
+
 PlacementExplanation ExplainQueryPlan(const QueryPlan& plan) {
   PlacementExplanation ex;
 
@@ -195,10 +290,9 @@ PlacementExplanation ExplainQueryPlan(const QueryPlan& plan) {
     RenderQueryNode(&ex.tree, plan, c.root, last ? "   " : "|  ", true);
   }
   for (const auto& p : plan.pruned) {
-    std::string line = std::string(PrunedKindName(p.kind)) + " " +
-                       (p.description.empty() ? MaskText(p.relation_mask)
-                                              : p.description);
-    if (!p.reason.empty()) line += ": " + p.reason;
+    const PrunedText text = DescribePruned(plan, p);
+    std::string line = std::string(PrunedKindName(p.kind)) + " " + text.label;
+    if (!text.reason.empty()) line += ": " + text.reason;
     TreeLine(&ex.tree, "", ++line_idx == total, line);
   }
 
@@ -224,15 +318,16 @@ PlacementExplanation ExplainQueryPlan(const QueryPlan& plan) {
            Sec(c.result_transfer_seconds) +
            ", \"total_seconds\": " + Sec(c.total_seconds) + "}";
   };
-  auto pruned_json = [](const PrunedSubplan& p, size_t) {
+  auto pruned_json = [&plan](const PrunedSubplan& p, size_t) {
+    const PrunedText text = DescribePruned(plan, p);
     return "{\"kind\": \"" + std::string(PrunedKindName(p.kind)) +
            "\", \"stage\": \"" + NodeKindName(p.stage) +
            "\", \"relation_mask\": " + std::to_string(p.relation_mask) +
            ", \"system\": \"" + JsonEscape(p.system) +
            "\", \"via_system\": \"" + JsonEscape(p.via_system) +
            "\", \"subtree_seconds\": " + Sec(p.subtree_seconds) +
-           ", \"reason\": \"" + JsonEscape(p.reason) +
-           "\", \"description\": \"" + JsonEscape(p.description) + "\"}";
+           ", \"reason\": \"" + JsonEscape(text.reason) +
+           "\", \"description\": \"" + JsonEscape(text.label) + "\"}";
   };
   ex.json += "    \"candidates\": " +
              JsonLines(plan.candidates, "    ", candidate_json) + ",\n";

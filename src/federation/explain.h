@@ -27,6 +27,21 @@ struct PlacementExplanation {
   std::string json;  ///< machine-readable JSON object
 };
 
+/// The text of one dropped subplan.
+struct PrunedText {
+  /// The candidate, e.g. "join({t0}@hive, {t1,t2}@spark) at teradata".
+  std::string label;
+  /// The estimator's message (eliminated) or the kind's fixed text.
+  std::string reason;
+};
+
+/// Renders a PrunedSubplan's label and reason from the arena nodes it
+/// refers to; subset labels list the tables of the referenced subtree's
+/// kTable leaves, "{t0,t1,...}" in relation order. A record without a
+/// valid node reference is labelled by its relation mask
+/// ("relations 0,1").
+PrunedText DescribePruned(const QueryPlan& plan, const PrunedSubplan& p);
+
 /// Explains a DP search result (PlanQuery / SearchPlan): the chosen plan
 /// tree rendered node by node (placement, transfer vs. operator seconds,
 /// approach/algorithm provenance, algorithm candidates and eliminations,

@@ -21,6 +21,7 @@
 #ifndef INTELLISPHERE_FEDERATION_PLAN_SEARCH_H_
 #define INTELLISPHERE_FEDERATION_PLAN_SEARCH_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -164,6 +165,11 @@ struct QueryPlanNode {
 /// A DP-table alternative the search dropped, kept for EXPLAIN: a host
 /// that could not run an operator, a subplan beaten by a cheaper way to
 /// build the same (subset, site) entry, or a prune_factor victim.
+///
+/// A record holds no text of its own beyond an estimator's message: its
+/// label names nodes of the plan's arena, so recording a drop builds no
+/// string and allocates nothing. fed::DescribePruned (federation/explain.h)
+/// renders the label and the reason when EXPLAIN or a test asks.
 struct PrunedSubplan {
   enum class Kind {
     kEliminated,  ///< the engine cannot run the operator (with the reason)
@@ -181,10 +187,17 @@ struct PrunedSubplan {
   /// The candidate's cumulative cost (0 when eliminated before costing
   /// completed).
   double subtree_seconds = 0.0;
-  /// Elimination reason (estimator message) or domination/pruning note.
+  /// kDominated / kPruned: index into QueryPlan::nodes of the costed node
+  /// the record describes. -1 for kEliminated: such a candidate was never
+  /// costed into a node.
+  int node = -1;
+  /// kEliminated: indices into QueryPlan::nodes of the inputs the label
+  /// names — the table node for a scan, the left and right input nodes for
+  /// a join, the input node for an aggregate; -1 where unused.
+  std::array<int, 2> inputs = {-1, -1};
+  /// kEliminated only: the estimator's message. The kDominated and kPruned
+  /// reasons are fixed texts rendered from the kind.
   std::string reason;
-  /// Human-readable candidate label for EXPLAIN.
-  std::string description;
 };
 
 /// One completed root alternative: a full plan for the whole spec.
@@ -231,7 +244,11 @@ using BatchCostFn = std::function<std::vector<Result<core::HybridEstimate>>(
     const std::vector<PlanCostRequest>&, const core::EstimateContext&)>;
 
 /// Data-movement cost callback (QueryGrid::RelaySeconds shape). Never
-/// called with from == to.
+/// called with from == to. It must be pure: a SearchPlan call memoizes
+/// relays per (relation subset, from, to) and calls the callback at most
+/// once per distinct (from, to, rows, row_bytes) tuple, however many
+/// candidates stage data over that link. An error aborts the search with
+/// that status.
 using TransferFn = std::function<Result<double>(
     const std::string& from, const std::string& to, int64_t rows,
     int64_t row_bytes)>;

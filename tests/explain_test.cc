@@ -75,7 +75,7 @@ TEST(QueryPlanTest, BestWithEveryPlacementEliminatedIsFailedPrecondition) {
 /// eliminated host and one dominated entry.
 QueryPlan GoldenPlan() {
   QueryPlan plan;
-  plan.nodes.resize(4);
+  plan.nodes.resize(5);
   QueryPlanNode& t1 = plan.nodes[0];
   t1.system = "hive";
   t1.label = "T1";
@@ -116,20 +116,27 @@ QueryPlan GoldenPlan() {
   hive.fell_back_reason = "breaker_open:sub_op";
   plan.candidates = {{2, 0.0, 4.0}, {3, 0.0, 10.25}};
 
+  // The dropped subplans refer to arena nodes: the eliminated join on
+  // presto names its inputs T1 and T2, and the dominated hive join is a
+  // costed node (T2 on the left) that lost to the chosen one.
+  QueryPlanNode& swapped = plan.nodes[4];
+  swapped = hive;
+  swapped.transfer_seconds = 2.0;
+  swapped.subtree_seconds = 4.5;
+  swapped.children = {1, 0};
   plan.pruned.resize(2);
   PrunedSubplan& eliminated = plan.pruned[0];
   eliminated.kind = PrunedSubplan::Kind::kEliminated;
   eliminated.relation_mask = 3;
   eliminated.system = "presto";
+  eliminated.inputs = {0, 1};
   eliminated.reason = "engine cannot run joins";
-  eliminated.description = "join({T1}@hive, {T2}@spark) at presto";
   PrunedSubplan& dominated = plan.pruned[1];
   dominated.kind = PrunedSubplan::Kind::kDominated;
   dominated.relation_mask = 3;
   dominated.system = "hive";
   dominated.subtree_seconds = 4.5;
-  dominated.reason = "dominated by a cheaper subplan for the same relations";
-  dominated.description = "join({T2}@spark, {T1}@hive) at hive";
+  dominated.node = 4;
   plan.candidates_costed = 4;
   plan.dp_entries = 4;
   return plan;

@@ -4,7 +4,10 @@
 // through the serving layer.
 //
 //  * A cold pass populates the EstimationService cache (every remote
-//    (operator, system) placement is a distinct key).
+//    (operator, system) placement is a distinct key). It is timed
+//    kColdRepetitions times, the cache invalidated before each, and
+//    reported as the median repetition; every repetition must reproduce
+//    the first one's plan totals bit for bit and miss the cache as often.
 //  * Warm passes re-plan the same specs: the DP emits the same batches, so
 //    every remote estimate answers from the cache. The warm section is
 //    timed kWarmRepetitions times and reported as the median repetition,
@@ -42,6 +45,7 @@ using bench::Check;
 using bench::Unwrap;
 
 constexpr uint64_t kSeed = 7575;
+constexpr int kColdRepetitions = 15;
 constexpr int kWarmPasses = 20;
 constexpr int kWarmRepetitions = 7;
 
@@ -163,20 +167,52 @@ int main() {
 
   bench::Section("plan-search throughput (4- to 6-relation specs)");
 
-  // Cold pass: every remote placement is a cache miss.
+  // Cold repetitions: the cache is emptied first, so every remote
+  // placement is a miss.
   std::vector<double> cold_totals;
-  auto cold_start = std::chrono::steady_clock::now();
-  for (const fed::QuerySpec& spec : specs) {
-    fed::QueryPlan plan = bench::Unwrap(sphere.PlanQuery(spec), "cold plan");
-    cold_totals.push_back(
-        bench::Unwrap(plan.best(), "cold best").total_seconds);
+  std::vector<double> cold_repetition_seconds;
+  int64_t cold_misses = 0;
+  for (int rep = 0; rep < kColdRepetitions; ++rep) {
+    service.InvalidateCache();
+    const int64_t misses_before = service.cache_stats().misses;
+    auto cold_start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < specs.size(); ++i) {
+      fed::QueryPlan plan =
+          bench::Unwrap(sphere.PlanQuery(specs[i]), "cold plan");
+      const double total =
+          bench::Unwrap(plan.best(), "cold best").total_seconds;
+      if (rep == 0) {
+        cold_totals.push_back(total);
+      } else if (total != cold_totals[i]) {
+        std::fprintf(stderr,
+                     "FATAL: cold repetition %d total %.17g != first cold "
+                     "total %.17g (spec %zu) — cold planning must be "
+                     "reproducible\n",
+                     rep, total, cold_totals[i], i);
+        return 1;
+      }
+    }
+    cold_repetition_seconds.push_back(SecondsSince(cold_start));
+    const int64_t misses = service.cache_stats().misses - misses_before;
+    if (rep == 0) {
+      cold_misses = misses;
+    } else if (misses != cold_misses) {
+      std::fprintf(stderr,
+                   "FATAL: cold repetition %d missed the cache %lld times, "
+                   "the first %lld — InvalidateCache must empty it\n",
+                   rep, static_cast<long long>(misses),
+                   static_cast<long long>(cold_misses));
+      return 1;
+    }
   }
-  const double cold_seconds = SecondsSince(cold_start);
+  std::sort(cold_repetition_seconds.begin(), cold_repetition_seconds.end());
+  const double cold_seconds = cold_repetition_seconds[kColdRepetitions / 2];
   const serving::CacheStats cold_stats = service.cache_stats();
 
   // Warm repetitions: the DP re-emits the same batches; the cache answers.
   int64_t candidates_costed = 0;
   int64_t dp_entries = 0;
+  int64_t pruned = 0;
   std::vector<double> repetition_seconds;
   for (int rep = 0; rep < kWarmRepetitions; ++rep) {
     auto warm_start = std::chrono::steady_clock::now();
@@ -196,6 +232,7 @@ int main() {
         if (rep == 0) {
           candidates_costed += plan.candidates_costed;
           dp_entries += plan.dp_entries;
+          pruned += static_cast<int64_t>(plan.pruned.size());
         }
       }
     }
@@ -217,8 +254,13 @@ int main() {
           ? static_cast<double>(warm_hits) / (warm_hits + warm_misses)
           : 0.0;
 
-  std::printf("cold: %zu plans in %.4fs (%.1f plans/s)\n", specs.size(),
-              cold_seconds, cold_plans_per_s);
+  std::printf(
+      "cold: %zu plans per repetition, median of %d repetitions %.4fs "
+      "(%.1f plans/s; fastest %.4fs, slowest %.4fs), %lld cache misses "
+      "each\n",
+      specs.size(), kColdRepetitions, cold_seconds, cold_plans_per_s,
+      cold_repetition_seconds.front(), cold_repetition_seconds.back(),
+      static_cast<long long>(cold_misses));
   std::printf(
       "warm: %d plans per repetition, median of %d repetitions %.4fs "
       "(%.1f plans/s, %.1f us/plan; fastest %.4fs, slowest %.4fs)\n",
@@ -228,9 +270,11 @@ int main() {
   std::printf("warm cache: hits=%lld misses=%lld hit_fraction=%.4f\n",
               static_cast<long long>(warm_hits),
               static_cast<long long>(warm_misses), warm_hit_fraction);
-  std::printf("per plan: candidates_costed=%.1f dp_entries=%.1f\n",
-              static_cast<double>(candidates_costed) / warm_plans,
-              static_cast<double>(dp_entries) / warm_plans);
+  std::printf(
+      "per plan: candidates_costed=%.1f pruned=%.1f dp_entries=%.1f\n",
+      static_cast<double>(candidates_costed) / warm_plans,
+      static_cast<double>(pruned) / warm_plans,
+      static_cast<double>(dp_entries) / warm_plans);
 
   // The DP routes every remote costing through EstimateBatch: warm passes
   // must hit the cache. A zero hit fraction means the search stopped using
@@ -253,6 +297,8 @@ int main() {
   metrics.push_back({"plan_search.candidates_costed_per_plan",
                      static_cast<double>(candidates_costed) / warm_plans,
                      "candidates"});
+  metrics.push_back({"plan_search.pruned_per_plan",
+                     static_cast<double>(pruned) / warm_plans, "count"});
   metrics.push_back({"plan_search.dp_entries_per_plan",
                      static_cast<double>(dp_entries) / warm_plans,
                      "entries"});
